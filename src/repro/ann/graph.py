@@ -7,18 +7,18 @@ that incremental structure: a navigable-small-world graph (Malkov et al.
 2014) with greedy best-first search — insertion-friendly (no retraining)
 and accurate at the small scale the delta buffer reaches between merges.
 
-The implementation keeps full-precision vectors (the delta is small, so no
-quantization is needed) and a bounded out-degree; search is a standard
-beam search from a random entry point.
+Vectors live in one contiguous float32 matrix (capacity doubles as it grows)
+beside their squared norms; out-degree is bounded.  Search is a beam search
+from two random entry points: one expansion is a gather of the unvisited
+neighbours' rows and norms, one (1, d) x (d, n) product and a heap push each.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.ann.distances import l2_sq
 
 __all__ = ["NSWGraphIndex"]
 
@@ -41,8 +41,7 @@ class NSWGraphIndex:
     ef_search: int = 32
     seed: int = 0
 
-    _vectors: list[np.ndarray] = field(default_factory=list, repr=False)
-    _ids: list[int] = field(default_factory=list, repr=False)
+    ntotal: int = field(default=0, init=False)
     _neighbors: list[list[int]] = field(default_factory=list, repr=False)
     _rng: np.random.Generator = field(default=None, repr=False)
 
@@ -51,72 +50,65 @@ class NSWGraphIndex:
             raise ValueError(f"d must be positive, got {self.d}")
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+        if self.ef_construction < 1:
+            raise ValueError(f"ef_construction must be >= 1, got {self.ef_construction}")
         self._rng = np.random.default_rng(self.seed)
+        self._vecs = np.empty((0, self.d), dtype=np.float32)  # (capacity, d)
+        self._sq, self._ids = np.empty(0, np.float32), np.empty(0, np.int64)
 
-    # ------------------------------------------------------------------ #
-    @property
-    def ntotal(self) -> int:
-        return len(self._vectors)
+    def _dists(self, q: np.ndarray, q_sq, nodes) -> np.ndarray:
+        """Squared L2 from ``q`` (1, d) to ``nodes``: ``l2_sq``'s expansion, same bits."""
+        nodes = np.array(nodes)
+        d = q_sq + self._sq.take(nodes)
+        d -= 2.0 * (q @ self._vecs.take(nodes, axis=0).T)[0]
+        return np.maximum(d, 0.0, out=d)
 
-    def _matrix(self) -> np.ndarray:
-        return np.vstack(self._vectors) if self._vectors else np.empty((0, self.d))
-
-    # ------------------------------------------------------------------ #
-    def _beam_search(
-        self, query: np.ndarray, ef: int, n_entries: int = 2
-    ) -> list[tuple[float, int]]:
+    def _beam_search(self, query: np.ndarray, ef: int, n_entries: int = 2) -> list:
         """Greedy beam search; returns [(dist, node)] sorted ascending."""
-        n = self.ntotal
-        if n == 0:
+        if self.ntotal == 0:
             return []
-        entries = self._rng.choice(n, size=min(n_entries, n), replace=False)
-        visited: set[int] = set()
-        cand: list[tuple[float, int]] = []
-        for e in entries:
-            dist = float(l2_sq(query[None, :], self._vectors[e][None, :])[0, 0])
-            cand.append((dist, int(e)))
-            visited.add(int(e))
-        cand.sort()
-        best = list(cand)
-        frontier = list(cand)
+        entries = self._rng.choice(self.ntotal, size=min(n_entries, self.ntotal), replace=False)
+        q = query[None, :]
+        q_sq = np.einsum("ij,ij->i", q, q)[0]
+        # One product per entry: a column of a wider one may differ in bits.
+        cand = sorted((float(self._dists(q, q_sq, [e])[0]), int(e)) for e in entries)
+        visited = {node for _, node in cand}
+        frontier = list(cand)  # sorted, so already a min-heap
+        best = [(-dist, -node) for dist, node in reversed(cand[:ef])]  # max-heap
         while frontier:
-            frontier.sort()
-            d_cur, node = frontier.pop(0)
-            worst = best[min(ef, len(best)) - 1][0]
-            if d_cur > worst and len(best) >= ef:
+            d_cur, node = heapq.heappop(frontier)
+            if len(best) >= ef and d_cur > -best[0][0]:
                 break
             fresh = [nb for nb in self._neighbors[node] if nb not in visited]
             if not fresh:
                 continue
             visited.update(fresh)
-            mat = np.vstack([self._vectors[nb] for nb in fresh])
-            dists = l2_sq(query[None, :], mat)[0]
-            for nb, dist in zip(fresh, dists):
-                pair = (float(dist), nb)
-                best.append(pair)
-                frontier.append(pair)
-            best.sort()
-            best = best[: max(ef, 1)]
-        return best
+            worst = -best[0][0] if len(best) >= ef else np.inf
+            for nb, dist in zip(fresh, self._dists(q, q_sq, fresh).tolist()):
+                if dist <= worst:  # else never kept, and popping it ends the search
+                    heapq.heappush(frontier, (dist, nb))
+                    push = heapq.heappush if len(best) < ef else heapq.heappushpop
+                    push(best, (-dist, -nb))
+        if len(visited) == len(cand):  # no node past the entries: all kept, even past ef
+            return cand
+        return sorted((-neg_dist, -neg_node) for neg_dist, neg_node in best)
 
     def _prune(self, node: int) -> None:
         """Keep only the max_degree closest neighbors of ``node``."""
         nbs = self._neighbors[node]
         if len(nbs) <= self.max_degree:
             return
-        mat = np.vstack([self._vectors[nb] for nb in nbs])
-        dists = l2_sq(self._vectors[node][None, :], mat)[0]
+        dists = self._dists(self._vecs[node][None, :], self._sq[node], nbs)
         order = np.argsort(dists)[: self.max_degree]
         self._neighbors[node] = [nbs[i] for i in order]
 
-    # ------------------------------------------------------------------ #
     def add(self, x: np.ndarray, ids: np.ndarray | None = None) -> "NSWGraphIndex":
         """Insert vectors one by one, wiring each to its nearest neighbors."""
         x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float32)
         if x.shape[1] != self.d:
             raise ValueError(f"expected dim {self.d}, got {x.shape[1]}")
         if ids is None:
-            start = self._ids[-1] + 1 if self._ids else 0
+            start = int(self._ids[self.ntotal - 1]) + 1 if self.ntotal else 0
             ids = np.arange(start, start + x.shape[0], dtype=np.int64)
         else:
             ids = np.asarray(ids, dtype=np.int64)
@@ -125,8 +117,13 @@ class NSWGraphIndex:
         for vec, id_ in zip(x, ids):
             node = self.ntotal
             hits = self._beam_search(vec, self.ef_construction)
-            self._vectors.append(vec.copy())
-            self._ids.append(int(id_))
+            if node == len(self._vecs):  # full: double the capacity
+                cap = max(2 * node, 16)
+                self._vecs = np.resize(self._vecs, (cap, self.d))
+                self._sq, self._ids = np.resize(self._sq, cap), np.resize(self._ids, cap)
+            self._vecs[node], self._ids[node] = vec, id_
+            self._sq[node] = np.einsum("ij,ij->i", vec[None, :], vec[None, :])[0]
+            self.ntotal += 1
             links = [h[1] for h in hits[: self.max_degree]]
             self._neighbors.append(links)
             for nb in links:  # bidirectional wiring + degree bound
@@ -139,16 +136,19 @@ class NSWGraphIndex:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        nq = queries.shape[0]
-        out_ids = np.full((nq, k), -1, dtype=np.int64)
-        out_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            hits = self._beam_search(queries[qi], max(self.ef_search, k))
-            for slot, (dist, node) in enumerate(hits[:k]):
+        if queries.shape[1] != self.d:
+            raise ValueError(f"expected dim {self.d}, got {queries.shape[1]}")
+        out_ids = np.full((len(queries), k), -1, dtype=np.int64)
+        out_dists = np.full((len(queries), k), np.inf, dtype=np.float32)
+        for qi in range(len(queries)):
+            hits = self._beam_search(queries[qi], max(self.ef_search, k))[:k]
+            for slot, (dist, node) in enumerate(hits):
                 out_ids[qi, slot] = self._ids[node]
                 out_dists[qi, slot] = dist
         return out_ids, out_dists
 
     def vectors_and_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Snapshot of the buffered vectors (consumed by the merge step)."""
-        return self._matrix().astype(np.float32), np.asarray(self._ids, dtype=np.int64)
+        """Read-only views of the buffered vectors and ids (merge input)."""
+        vecs, ids = self._vecs[: self.ntotal], self._ids[: self.ntotal]
+        vecs.flags.writeable = ids.flags.writeable = False
+        return vecs, ids

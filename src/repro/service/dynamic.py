@@ -51,6 +51,16 @@ from repro.ann.ivf import IVFPQIndex
 __all__ = ["DynamicVectorService", "SnapshotStats"]
 
 
+def _in_sorted(store: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mask of ``ids`` present in the ascending array ``store``.
+
+    A binary search per id: ``np.isin`` sorts both arrays on every call.
+    """
+    if not len(store):
+        return np.zeros(ids.shape, dtype=bool)
+    return store[np.minimum(np.searchsorted(store, ids), len(store) - 1)] == ids
+
+
 @dataclass(frozen=True)
 class SnapshotStats:
     """Bookkeeping returned by :meth:`DynamicVectorService.merge`."""
@@ -88,6 +98,8 @@ class DynamicVectorService:
         self.primary: IVFPQIndex | None = None
         self.delta = NSWGraphIndex(d=d, max_degree=graph_degree, seed=seed)
         self.deleted: set[int] = set()
+        #: ``deleted`` as a sorted array: the per-batch search filter.
+        self._tombstones = np.empty(0, dtype=np.int64)
         self.generation = 0
         self._snapshot_vectors: np.ndarray | None = None
         self._snapshot_ids: np.ndarray | None = None
@@ -192,19 +204,26 @@ class DynamicVectorService:
     def delete(self, ids) -> int:
         """Mark ids deleted (bitmap); returns how many were newly marked.
 
-        Fires the invalidation listeners when anything was newly marked
-        (re-deleting an already-deleted id changes nothing, so it stays
-        silent).
+        Only live ids count: an id in the snapshot or a delta and not yet
+        deleted.  Unknown ids, ids a merge already folded away and repeats
+        change nothing.  Fires the invalidation listeners when anything was
+        newly marked.
         """
         with self._lock:
-            before = len(self.deleted)
-            self.deleted.update(
-                int(i) for i in np.atleast_1d(np.asarray(ids, dtype=np.int64))
-            )
-            newly = len(self.deleted) - before
-        if newly:
+            ids = np.unique(np.asarray(ids, dtype=np.int64))
+            live = np.zeros(ids.shape, dtype=bool)
+            # Ids are allocated in ascending order, so each store is sorted.
+            for g in (self._frozen_delta, self.delta):
+                if g is not None:
+                    live |= _in_sorted(g.vectors_and_ids()[1], ids)
+            if self._snapshot_ids is not None:
+                live |= _in_sorted(self._snapshot_ids, ids)
+            newly = ids[live & ~_in_sorted(self._tombstones, ids)]
+            self.deleted.update(newly.tolist())
+            self._tombstones = np.sort(np.concatenate([self._tombstones, newly]))
+        if len(newly):
             self._notify_invalidation()
-        return newly
+        return len(newly)
 
     # ------------------------------------------------------------------ #
     def search(
@@ -245,10 +264,7 @@ class DynamicVectorService:
                 pad = k - ids.shape[1]
                 ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=-1)
                 dists = np.pad(dists, ((0, 0), (0, pad)), constant_values=np.inf)
-            drop = ids < 0
-            if self.deleted:
-                deleted = np.fromiter(self.deleted, dtype=np.int64, count=len(self.deleted))
-                drop |= np.isin(ids, deleted)
+            drop = (ids < 0) | _in_sorted(self._tombstones, ids)
             dists[drop] = np.inf
             order = np.argsort(dists, axis=1, kind="stable")[:, :k]
             out_ids = np.take_along_axis(ids, order, axis=1)
@@ -291,7 +307,7 @@ class DynamicVectorService:
             )
             snap_vecs = self._snapshot_vectors
             snap_ids = self._snapshot_ids
-            folded_deleted = frozenset(self.deleted)
+            folded = self._tombstones  # replaced, never mutated, by delete()
 
         # Phase 2 — rebuild with no lock held (reads only frozen state).
         try:
@@ -301,13 +317,7 @@ class DynamicVectorService:
             all_ids = (
                 np.concatenate([snap_ids, delta_ids]) if inserted else snap_ids
             )
-            if folded_deleted:
-                deleted_arr = np.fromiter(
-                    folded_deleted, dtype=np.int64, count=len(folded_deleted)
-                )
-                live = ~np.isin(all_ids, deleted_arr)
-            else:
-                live = np.ones(len(all_ids), dtype=bool)
+            live = ~_in_sorted(folded, all_ids)
             n_deleted = int((~live).sum())
             new_vecs = np.ascontiguousarray(all_vecs[live])
             new_ids = all_ids[live]
@@ -339,7 +349,8 @@ class DynamicVectorService:
             self._frozen_delta = None
             # Folded tombstones are now physically absent; deletes that
             # arrived during the rebuild stay masked into the next cycle.
-            self.deleted -= folded_deleted
+            self.deleted.difference_update(folded.tolist())
+            self._tombstones = self._tombstones[~_in_sorted(folded, self._tombstones)]
             self.generation += 1
             stats = SnapshotStats(
                 snapshot_size=len(new_ids),

@@ -65,6 +65,42 @@ class TestSearchSemantics:
         assert svc.delete(ids[:5]) == 0
         assert svc.ntotal == len(ids) - 5
 
+    def test_delete_ignores_unknown_ids(self, service_and_data):
+        """Ids never allocated change nothing: no count, no ntotal drop,
+        no cache invalidation."""
+        svc, *_, ids = service_and_data
+        fired = []
+        svc.add_invalidation_listener(lambda: fired.append(1))
+        assert svc.delete([10**9, -5, int(ids[-1]) + 1]) == 0
+        assert svc.ntotal == len(ids) and not svc.deleted and not fired
+        assert svc.delete(np.array([ids[3], 10**9, ids[3]])) == 1
+        assert svc.ntotal == len(ids) - 1 and svc.deleted == {int(ids[3])}
+        assert len(fired) == 1
+
+    def test_delete_counts_delta_ids(self, service_and_data):
+        svc, base, extra, *_ = service_and_data
+        new_ids = svc.insert(extra[:20])
+        assert svc.delete(new_ids[::2]) == 10
+        assert svc.ntotal == len(base) + 10
+        out_ids, _ = svc.search(extra[:20], 5)
+        assert not np.isin(out_ids, new_ids[::2]).any()
+
+    def test_delete_after_merge_ignores_folded_ids(self, service_and_data):
+        """Ids a merge already removed are gone, not live: deleting them
+        again counts nothing and leaves ntotal alone."""
+        svc, base, extra, _, ids = service_and_data
+        new_ids = svc.insert(extra[:10])
+        assert svc.delete(np.concatenate([ids[:10], new_ids[:3]])) == 13
+        svc.merge()
+        n = svc.ntotal
+        assert n == len(base) + 10 - 13
+        fired = []
+        svc.add_invalidation_listener(lambda: fired.append(1))
+        assert svc.delete(np.concatenate([ids[:10], new_ids[:3]])) == 0
+        assert svc.ntotal == n and not fired
+        assert svc.delete(new_ids[3:5]) == 2  # folded into the new snapshot
+        assert svc.ntotal == n - 2 and len(fired) == 1
+
 
 class TestMerge:
     def test_merge_folds_delta_and_deletions(self, service_and_data):
