@@ -4,8 +4,8 @@ Runs the full ``codesign-serve`` pipeline — train the index grid,
 calibrate real min-nprobe for the recall floor, search the joint
 index × R×S topology × QoS × window space, materialize the winning
 design through ``build_topology`` over simulated devices in scaled
-time — and records ``BENCH_codesign.json`` at the repo root so the
-drift tooling tracks modeled-vs-measured model accuracy across commits.
+time — and records ``BENCH_codesign.json`` at the repo root, the
+modeled-vs-measured model-accuracy record.
 
 Acceptance (what keeps the autotuner honest):
 
@@ -18,7 +18,7 @@ Acceptance (what keeps the autotuner honest):
   ``CODESIGN_GAP_BOUND`` (|gap| <= 0.5) — the same bound the CI smoke
   gates via ``tools/check_codesign.py``.  The gap is dimensionless
   (scaled time cancels host speed), so it is comparable across runs
-  and hosts; its drift history is the model-accuracy record.
+  and hosts.
 
 Run: ``python -m pytest benchmarks/test_bench_codesign.py -s``
 """
@@ -72,9 +72,8 @@ def test_codesign_search_and_validated_winner():
         "winner_spec": result.spec.to_dict(),
         "bit_identical_to_direct_search": v.bit_identical,
         "time_scale": round(v.time_scale, 2),
-        # The drift-tracked leaves: modeled/measured throughput and the
-        # dimensionless model error (check_bench's metric filter matches
-        # qps, p99, and gap keys).
+        # Modeled/measured throughput and tail latency, and the
+        # dimensionless model error between them.
         "modeled_qps": round(v.modeled_qps, 2),
         "measured_qps": round(v.measured_qps, 2),
         "qps_gap": round(v.qps_gap, 4),

@@ -11,67 +11,55 @@ Analytic experiments (fig03, fig09) run in seconds; dataset-backed ones
 (about a minute of index training on first use).
 
 ``serve-bench`` exercises the online serving subsystem instead of a paper
-figure.  Without topology flags it compares batch-size-1 serving against
-the dynamic micro-batching scheduler (and the query cache) under
-closed-loop load; with ``--replicas`` / ``--shards`` it measures the
-replicated, sharded serving matrix over simulated accelerator devices;
-with ``--qos`` it runs the multi-tenant QoS matrix (noisy-neighbor
-isolation under weighted fair queueing + admission quotas, and the
-adaptive batch window against fixed windows); with ``--async`` it sweeps
-connection counts over the thread-based vs asyncio socket front ends;
-with ``--workers`` it sweeps worker-process counts over the
-multi-process data plane (mmap shard workers + preselect-once scatter —
-the only mode whose scaling needs real CPU cores); with ``--workers R,S
---chaos`` it runs the fault-injection mode instead — an R×S replicated
-worker grid under supervised restart, with workers SIGKILLed on a seeded
-schedule mid-load (zero failed requests, bounded recovery, bit-identical
-answers after)::
+figure.  Its mode flag picks one of six modes:
 
-    python -m repro.harness.cli serve-bench
+- no mode flag: ``basic`` — batch-size-1 serving against the dynamic
+  micro-batching scheduler (and the query cache) under closed-loop load;
+- ``--replicas`` / ``--shards``: ``replicated`` — the replicated, sharded
+  serving matrix over simulated accelerator devices;
+- ``--qos``: ``qos`` — noisy-neighbor isolation under weighted fair
+  queueing + admission quotas, and the adaptive batch window against
+  fixed windows;
+- ``--async``: ``async`` — connection counts over the thread-based vs
+  asyncio socket front ends;
+- ``--workers``: ``workers`` — worker-process counts over the
+  multi-process data plane (mmap shard workers + preselect-once scatter;
+  the only mode whose scaling needs real CPU cores);
+- ``--workers R,S --chaos``: ``chaos`` — an R×S replicated worker grid
+  under supervised restart, workers SIGKILLed on a seeded schedule
+  mid-load (zero failed requests, bounded recovery, bit-identical
+  answers after).
+
+``codesign-serve`` runs the serving co-design autotuner: given a traffic
+profile (``--traffic`` JSON, or a built-in default) it searches the joint
+index × R×S topology × QoS weights × batch window space with the
+performance/resource/LogGP models and emits a ranked design report plus
+the winning config as a loadable topology spec; ``--validate``
+materializes the winner over simulated devices (in scaled time) and
+records the modeled-vs-measured QPS/p99 gap.
+
+:data:`MODE_FLAGS` is the one table of the flags each of these seven
+modes takes.  A flag set for a mode that does not take it is rejected
+with a message naming the modes that do.  A result that carries
+``checks`` (answers bit-identical to direct search, and the mode's other
+invariants) makes the run exit 1 when any check fails::
+
     python -m repro.harness.cli serve-bench --replicas 1,2,3 --shards 1,2,4
     python -m repro.harness.cli serve-bench --qos --tenants 2 --slo-us 40000
     python -m repro.harness.cli serve-bench --async --connections 64,512,4096
-    python -m repro.harness.cli serve-bench --workers 1,2,4
-    python -m repro.harness.cli serve-bench --workers 1,2 --quick
-    python -m repro.harness.cli serve-bench --workers 2,2 --chaos --kills 3
-    python -m repro.harness.cli serve-bench --workers 2,1 --chaos --quick
-
-The basic and ``--workers`` modes also take ``--trace out.trace.json``
-(plus ``--trace-sample``) to record an end-to-end request trace — one
-merged Chrome/Perfetto JSON spanning router and worker processes — and
-``--metrics-out metrics.json`` to dump the full metrics registries.
-``trace-report`` analyzes a recorded trace offline (per-stage latency
-percentiles and the critical path)::
-
-    python -m repro.harness.cli serve-bench --workers 2 --trace out.trace.json
-    python -m repro.harness.cli trace-report --trace out.trace.json
-
-The ``--chaos`` and ``--qos`` modes take ``--timeline out.jsonl`` to run
-the live telemetry plane during the bench — a background
-:class:`~repro.obs.timeline.TelemetryCollector` tick stream merged with
-the typed operational event journal (worker restarts, coverage
-transitions, sheds, SLO alerts) into one JSONL timeline.  ``serve-top``
-renders a recorded timeline as a terminal dashboard (``--once`` for a
-single CI-friendly frame; otherwise it refreshes in place)::
-
+    python -m repro.harness.cli serve-bench --workers 2 --quick --trace out.trace.json
     python -m repro.harness.cli serve-bench --workers 2,1 --chaos --quick \\
         --timeline timeline.jsonl
-    python -m repro.harness.cli serve-top --timeline timeline.jsonl --once
-
-``codesign-serve`` runs the serving co-design autotuner: given a traffic
-profile (request rate, tenant mix, request classes, recall floor — a JSON
-file via ``--traffic``, or a built-in default), it searches the joint
-index × R×S topology × QoS weights × batch window space with the
-performance/resource/LogGP models and emits a ranked design report plus
-the winning config as a loadable topology spec.  ``--validate``
-additionally materializes the winner through ``build_topology`` over
-simulated devices (in scaled time) and records the modeled-vs-measured
-QPS/p99 gap; ``--quick`` shrinks the corpus and grid to the CI smoke
-scale::
-
-    python -m repro.harness.cli codesign-serve --traffic trace.json --slo-us 20000
     python -m repro.harness.cli codesign-serve --quick --validate \\
         --report codesign_report.json --spec codesign_spec.json
+
+``trace-report`` analyzes a trace recorded with ``--trace`` (per-stage
+latency percentiles and the critical path); ``serve-top`` renders a
+timeline recorded with ``--timeline`` as a terminal dashboard (``--once``
+for a single CI-friendly frame; otherwise it refreshes in place)::
+
+    python -m repro.harness.cli trace-report --trace out.trace.json
+    python -m repro.harness.cli serve-top --timeline timeline.jsonl --once
 
 Every flag is documented in the README's CLI reference table.
 """
@@ -111,15 +99,75 @@ EXPERIMENTS = {
 NOT_IN_ALL = {"trace-report", "serve-top"}
 
 
-def _parse_counts(spec: str, flag: str) -> tuple[int, ...]:
-    """Parse a ``1,2,3``-style comma list of positive ints."""
+def _positive_int(text: str) -> int:
+    """argparse type: an int >= 1."""
     try:
-        counts = tuple(int(part) for part in spec.split(","))
+        value = int(text)
     except ValueError:
-        raise SystemExit(f"{flag} expects a comma-separated int list, got {spec!r}")
-    if not counts or any(c < 1 for c in counts):
-        raise SystemExit(f"{flag} counts must be >= 1, got {spec!r}")
-    return counts
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
+    return value
+
+
+def _count_list(text: str) -> tuple[int, ...]:
+    """argparse type: a ``1,2,3``-style comma list of ints >= 1."""
+    return tuple(_positive_int(part) for part in text.split(","))
+
+
+#: The flags each serve-bench mode and codesign-serve take (every mode
+#: also takes ``--seed``).  A flag of this table set for a mode that does
+#: not take it is rejected by :func:`check_mode_flags`.
+MODE_FLAGS: dict[str, frozenset[str]] = {
+    mode: frozenset([*flags.split(), "--seed"])
+    for mode, flags in {
+        "basic": "--clients --requests --trace --trace-sample --metrics-out",
+        "replicated": "--replicas --shards --policy --clients --requests",
+        "qos": "--qos --tenants --slo-us --timeline",
+        "async": "--async --connections",
+        "workers": "--workers --quick --clients --requests --trace --trace-sample --metrics-out",
+        "chaos": "--workers --chaos --kills --quick --clients --requests --metrics-out --timeline",
+        "codesign-serve": "--traffic --validate --report --spec --slo-us --quick",
+    }.items()
+}
+
+#: serve-bench mode flags in precedence order; none set picks ``basic``.
+_MODE_SELECTORS = (
+    ("chaos", "--chaos"), ("workers", "--workers"), ("async", "--async"),
+    ("qos", "--qos"), ("replicated", "--replicas"), ("replicated", "--shards"),
+)
+
+#: Flags that only make sense beside another flag.
+_REQUIRES = {"--trace-sample": "--trace", "--chaos": "--workers"}
+
+#: argparse dests that are not the flag name itself.
+_DESTS = {"--async": "async_bench", "--report": "codesign_report", "--spec": "codesign_spec"}
+
+
+def _is_set(args: argparse.Namespace, flag: str) -> bool:
+    """Whether ``flag`` was given (every table flag defaults to None/False)."""
+    value = getattr(args, _DESTS.get(flag, flag[2:].replace("-", "_")))
+    return value is not None and value is not False
+
+
+def serve_bench_mode(args: argparse.Namespace) -> str:
+    """The serve-bench mode the parsed flags pick."""
+    return next(
+        (mode for mode, flag in _MODE_SELECTORS if _is_set(args, flag)), "basic"
+    )
+
+
+def check_mode_flags(mode: str, args: argparse.Namespace) -> None:
+    """Reject any set flag that ``mode`` does not take, naming who takes it."""
+    for flag in sorted(frozenset().union(*MODE_FLAGS.values()) - MODE_FLAGS[mode]):
+        if _is_set(args, flag):
+            takers = ", ".join(m for m, flags in MODE_FLAGS.items() if flag in flags)
+            raise SystemExit(
+                f"{flag} applies to {takers} only; the {mode} mode does not take it"
+            )
+    for flag, needed in _REQUIRES.items():
+        if _is_set(args, flag) and not _is_set(args, needed):
+            raise SystemExit(f"{flag} requires {needed}")
 
 
 def _run_trace_report(args: argparse.Namespace) -> TraceReport:
@@ -175,40 +223,13 @@ def _run_serve_top(args: argparse.Namespace) -> _ServeTopFrame:
     return _ServeTopFrame(frame())
 
 
-def _obs_overrides(args: argparse.Namespace) -> dict:
-    """Tracing/metrics kwargs shared by the basic and --workers modes."""
-    obs: dict = {}
-    if args.trace is not None:
-        obs["trace_path"] = args.trace
-        obs["trace_sample"] = args.trace_sample
-    if args.metrics_out is not None:
-        obs["metrics_out"] = args.metrics_out
-    return obs
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose flag was set; runners default the rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _run_codesign(args: argparse.Namespace):
     """Run the co-design autotuner (``codesign-serve``)."""
-    if (
-        args.workers is not None
-        or args.qos
-        or args.async_bench
-        or args.chaos
-        or args.replicas is not None
-        or args.shards is not None
-        or args.policy is not None
-        or args.connections is not None
-        or args.clients is not None
-        or args.requests is not None
-    ):
-        raise SystemExit(
-            "codesign-serve picks its own topology; --workers/--qos/--async/"
-            "--chaos/--replicas/--shards/--policy/--connections/--clients/"
-            "--requests apply to serve-bench modes only"
-        )
-    if args.trace is not None or args.metrics_out is not None or args.timeline is not None:
-        raise SystemExit(
-            "--trace/--metrics-out/--timeline apply to serve-bench modes only"
-        )
     return serve_bench.run_codesign(
         traffic_path=args.traffic,
         slo_us=args.slo_us,
@@ -220,133 +241,41 @@ def _run_codesign(args: argparse.Namespace):
     )
 
 
+#: The ``serve_bench`` runner of each serve-bench mode.
+_RUNNERS = {
+    "basic": "run", "replicated": "run_replicated", "qos": "run_qos",
+    "async": "run_async", "workers": "run_multiproc", "chaos": "run_chaos",
+}
+
+
 def _run_serve_bench(args: argparse.Namespace):
-    """Dispatch serve-bench to the basic, replicated, QoS, async, or
-    multi-process runner."""
-    if (
-        args.traffic is not None
-        or args.validate
-        or args.codesign_report is not None
-        or args.codesign_spec is not None
-    ):
-        raise SystemExit(
-            "--traffic/--validate/--report/--spec apply to codesign-serve only"
-        )
-    obs = _obs_overrides(args)
-    if args.timeline is not None and not (args.chaos or args.qos):
-        raise SystemExit(
-            "--timeline applies to the --chaos and --qos modes only"
-        )
-    if args.workers is not None:
-        if (
-            args.async_bench
-            or args.qos
-            or args.replicas is not None
-            or args.shards is not None
-            or args.policy is not None
-            or args.connections is not None
-        ):
-            raise SystemExit(
-                "--workers and --async/--qos/--replicas/--shards/--policy/"
-                "--connections are exclusive modes"
-            )
-        workers = _parse_counts(args.workers, "--workers")
-        overrides = dict(serve_bench.MP_QUICK) if args.quick else {}
-        if args.clients is not None:
-            overrides["n_clients"] = args.clients
-        if args.requests is not None:
-            overrides["n_requests"] = args.requests
-        if args.chaos:
-            if len(workers) != 2:
-                raise SystemExit(
-                    "--chaos reads --workers as R,S (replicas,shards) and "
-                    f"needs exactly two counts, got {args.workers!r}"
-                )
-            if "trace_path" in obs:
-                raise SystemExit("--trace does not apply to the --chaos mode")
-            if args.kills < 1:
-                raise SystemExit(f"--kills must be >= 1, got {args.kills}")
-            replicas, shards = workers
-            return serve_bench.run_chaos(
-                replicas=replicas, shards=shards, kills=args.kills,
-                seed=args.seed, timeline=args.timeline,
-                **overrides, **obs
-            )
-        return serve_bench.run_multiproc(
-            workers=workers, seed=args.seed, **overrides, **obs
-        )
-    if args.chaos:
-        raise SystemExit("--chaos requires --workers R,S (replicas,shards)")
-    if args.quick:
-        raise SystemExit("--quick applies to the --workers mode only")
-    if obs and (
-        args.async_bench
-        or args.qos
-        or args.replicas is not None
-        or args.shards is not None
-    ):
-        raise SystemExit(
-            "--trace/--trace-sample/--metrics-out apply to the basic and "
-            "--workers modes only"
-        )
-    if args.async_bench:
-        if (
-            args.qos
-            or args.replicas is not None
-            or args.shards is not None
-            or args.policy is not None
-        ):
-            raise SystemExit(
-                "--async and --qos/--replicas/--shards/--policy are "
-                "exclusive modes"
-            )
-        if args.clients is not None or args.requests is not None:
-            raise SystemExit(
-                "--async takes no --clients/--requests (concurrency comes "
-                "from --connections; each connection runs its own closed loop)"
-            )
-        connections = _parse_counts(args.connections or "64,512,4096", "--connections")
-        return serve_bench.run_async(connections=connections, seed=args.seed)
-    if args.connections is not None:
-        raise SystemExit("--connections applies to the --async mode only")
-    if args.qos:
-        if (
-            args.replicas is not None
-            or args.shards is not None
-            or args.policy is not None
-        ):
-            raise SystemExit(
-                "--qos and --replicas/--shards/--policy are exclusive modes"
-            )
-        if args.clients is not None or args.requests is not None:
-            raise SystemExit(
-                "--qos takes no --clients/--requests (its load matrix is "
-                "derived from modeled capacity; tune --tenants/--slo-us)"
-            )
-        return serve_bench.run_qos(
-            victims=args.tenants,
-            slo_us=args.slo_us if args.slo_us is not None else 40_000.0,
-            seed=args.seed,
-            timeline=args.timeline,
-        )
-    overrides = {}
-    if args.clients is not None:
-        overrides["n_clients"] = args.clients
-    if args.requests is not None:
-        overrides["n_requests"] = args.requests
-    if args.replicas is None and args.shards is None:
-        if args.policy is not None:
-            raise SystemExit("--policy applies to the replicated mode only")
-        return serve_bench.run(seed=args.seed, **overrides, **obs)
-    replicas = _parse_counts(args.replicas or "1,2,3", "--replicas")
-    shards = _parse_counts(args.shards or "1", "--shards")
-    return serve_bench.run_replicated(
-        replicas=replicas,
-        shards=shards,
-        policy=args.policy if args.policy is not None else "least-loaded",
-        seed=args.seed,
-        **overrides,
+    """Dispatch serve-bench to the runner of the mode its flags pick.
+
+    :func:`check_mode_flags` has already rejected every flag the mode does
+    not take, so the runner gets exactly the flags that were set and
+    applies its own defaults to the rest.
+    """
+    mode = serve_bench_mode(args)
+    kwargs = _given(
+        n_clients=args.clients, n_requests=args.requests, policy=args.policy,
+        victims=args.tenants, slo_us=args.slo_us, connections=args.connections,
+        kills=args.kills, trace_path=args.trace, trace_sample=args.trace_sample,
+        metrics_out=args.metrics_out, timeline=args.timeline,
     )
+    if args.quick:
+        kwargs.update(serve_bench.MP_QUICK)
+    if mode == "replicated":
+        kwargs.update(replicas=args.replicas or (1, 2, 3), shards=args.shards or (1,))
+    elif mode == "workers":
+        kwargs.update(workers=args.workers)
+    elif mode == "chaos":
+        if len(args.workers) != 2:
+            raise SystemExit(
+                "--chaos reads --workers as R,S (replicas,shards) and needs "
+                f"exactly two counts, got {','.join(map(str, args.workers))!r}"
+            )
+        kwargs.update(replicas=args.workers[0], shards=args.workers[1])
+    return getattr(serve_bench, _RUNNERS[mode])(seed=args.seed, **kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,12 +293,14 @@ def main(argv: list[str] | None = None) -> int:
     serve = parser.add_argument_group("serve-bench options")
     serve.add_argument(
         "--replicas",
+        type=_count_list,
         default=None,
         metavar="R1,R2,...",
         help="replica counts for the serving matrix (enables replicated mode)",
     )
     serve.add_argument(
         "--shards",
+        type=_count_list,
         default=None,
         metavar="S1,S2,...",
         help="shard counts for the serving matrix (enables replicated mode)",
@@ -382,15 +313,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--clients",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="closed-loop client threads (default: 16 basic / 32 replicated)",
+        help="closed-loop client threads (default: 16 basic / 32 replicated / 8 workers)",
     )
     serve.add_argument(
         "--requests",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="requests per configuration (default: 400 basic / 600 replicated)",
+        help="requests per configuration (default: 400 basic / 600 replicated / 240 workers)",
     )
     serve.add_argument(
         "--qos",
@@ -399,8 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--tenants",
-        type=int,
-        default=2,
+        type=_positive_int,
+        default=None,
         metavar="N",
         help="victim tenants beside the aggressor in QoS mode (default: 2)",
     )
@@ -423,12 +354,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--connections",
+        type=_count_list,
         default=None,
         metavar="C1,C2,...",
         help="connection counts for the async sweep (default: 64,512,4096)",
     )
     serve.add_argument(
         "--workers",
+        type=_count_list,
         default=None,
         metavar="N1,N2,...",
         help=(
@@ -447,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--kills",
-        type=int,
-        default=2,
+        type=_positive_int,
+        default=None,
         metavar="N",
         help="workers to SIGKILL during a --chaos run (default: 2)",
     )
@@ -478,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     obs.add_argument(
         "--trace-sample",
         type=float,
-        default=1.0,
+        default=None,
         metavar="RATE",
         help="head-sampling probability for --trace (default: 1.0)",
     )
@@ -544,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         help="serve-top: redraw period in seconds (default: 1.0)",
     )
     args = parser.parse_args(argv)
-    if not 0.0 <= args.trace_sample <= 1.0:
+    if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
         raise SystemExit(
             f"--trace-sample must be in [0, 1], got {args.trace_sample}"
         )
@@ -556,6 +489,12 @@ def main(argv: list[str] | None = None) -> int:
         else args.experiments
     )
 
+    for name in names:
+        mode = serve_bench_mode(args) if name == "serve-bench" else name
+        if mode in MODE_FLAGS:
+            check_mode_flags(mode, args)
+
+    status = 0
     ctx = None
     for name in names:
         needs_ctx, runner = EXPERIMENTS[name]
@@ -567,7 +506,11 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - t0
         print(f"\n### {name} ({elapsed:.1f}s)\n")
         print(result.format())
-    return 0
+        failed = [check for check, ok in getattr(result, "checks", {}).items() if not ok]
+        if failed:
+            print(f"{name}: check failed: {', '.join(failed)}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

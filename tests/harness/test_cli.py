@@ -24,15 +24,15 @@ class TestCLI:
     def test_qos_mode_rejects_inapplicable_flags(self):
         """--qos is exclusive with the replicated-matrix flags and takes
         no --clients/--requests (its load matrix is capacity-derived)."""
-        with pytest.raises(SystemExit, match="exclusive"):
+        with pytest.raises(SystemExit, match="--replicas applies to replicated only"):
             main(["serve-bench", "--qos", "--replicas", "1,2"])
-        with pytest.raises(SystemExit, match="exclusive"):
+        with pytest.raises(SystemExit, match="--shards applies to replicated only"):
             main(["serve-bench", "--qos", "--shards", "2"])
-        with pytest.raises(SystemExit, match="exclusive"):
+        with pytest.raises(SystemExit, match="--policy applies to replicated only"):
             main(["serve-bench", "--qos", "--policy", "p2c"])
         with pytest.raises(SystemExit, match="clients"):
             main(["serve-bench", "--qos", "--clients", "8"])
-        with pytest.raises(SystemExit, match="clients"):
+        with pytest.raises(SystemExit, match="--requests applies to"):
             main(["serve-bench", "--qos", "--requests", "100"])
 
     def test_policy_rejected_outside_replicated_mode(self):
@@ -49,7 +49,7 @@ class TestObservabilityFlags:
         for extra in (["--qos"], ["--async"], ["--replicas", "1,2"]):
             with pytest.raises(SystemExit, match="--trace"):
                 main(["serve-bench", *extra, "--trace", out])
-        with pytest.raises(SystemExit, match="--trace"):
+        with pytest.raises(SystemExit, match="--metrics-out"):
             main(["serve-bench", "--qos", "--metrics-out", out])
 
     def test_trace_sample_validated(self, tmp_path):
@@ -148,14 +148,14 @@ class TestCodesignFlags:
             ["--replicas", "1,2"], ["--shards", "2"], ["--policy", "p2c"],
             ["--connections", "4"], ["--clients", "8"], ["--requests", "64"],
         ):
-            with pytest.raises(SystemExit, match="serve-bench modes only"):
+            with pytest.raises(SystemExit, match=f"{extra[0]} applies to"):
                 main(["codesign-serve", *extra])
 
     def test_codesign_rejects_observability_flags(self, tmp_path):
         out = str(tmp_path / "t.json")
         for extra in (["--trace", out], ["--metrics-out", out],
                       ["--timeline", out]):
-            with pytest.raises(SystemExit, match="serve-bench modes only"):
+            with pytest.raises(SystemExit, match=f"{extra[0]} applies to"):
                 main(["codesign-serve", *extra])
 
     def test_codesign_flags_rejected_by_serve_bench(self, tmp_path):
@@ -171,3 +171,144 @@ class TestCodesignFlags:
         from repro.harness.cli import NOT_IN_ALL
 
         assert "codesign-serve" not in NOT_IN_ALL
+
+
+#: The command line that picks each mode with no optional flag set.
+MODE_ARGV = {
+    "basic": ["serve-bench"],
+    "replicated": ["serve-bench", "--replicas", "1"],
+    "qos": ["serve-bench", "--qos"],
+    "async": ["serve-bench", "--async"],
+    "workers": ["serve-bench", "--workers", "1,2"],
+    "chaos": ["serve-bench", "--workers", "2,1", "--chaos"],
+    "codesign-serve": ["codesign-serve"],
+}
+
+#: The runner each mode dispatches to.
+MODE_RUNNER = {
+    "basic": "run", "replicated": "run_replicated", "qos": "run_qos",
+    "async": "run_async", "workers": "run_multiproc", "chaos": "run_chaos",
+    "codesign-serve": "run_codesign",
+}
+
+#: One valid setting per table flag (``--trace-sample`` needs ``--trace``).
+FLAG_ARGV = {
+    "--replicas": ["2"], "--shards": ["2"], "--policy": ["p2c"],
+    "--clients": ["4"], "--requests": ["8"], "--qos": [], "--tenants": ["3"],
+    "--slo-us": ["100"], "--async": [], "--connections": ["4"],
+    "--workers": ["1"], "--chaos": [], "--kills": ["1"], "--quick": [],
+    "--seed": ["3"], "--trace": ["t.json"],
+    "--trace-sample": ["0.5", "--trace", "t.json"], "--metrics-out": ["m.json"],
+    "--timeline": ["t.jsonl"], "--traffic": ["p.json"], "--validate": [],
+    "--report": ["r.json"], "--spec": ["s.json"],
+}
+
+
+class _StubResult:
+    def __init__(self, checks=None):
+        self.checks = checks or {}
+        self.params = {}
+
+    def format(self) -> str:
+        return "stub result"
+
+
+@pytest.fixture
+def stub_runners(monkeypatch):
+    """Replace every serve-bench/codesign runner; returns the call log."""
+    from repro.harness import serve_bench
+
+    calls = []
+    for runner in MODE_RUNNER.values():
+        def fake(*args, _name=runner, **kwargs):
+            calls.append((_name, kwargs))
+            return _StubResult()
+        monkeypatch.setattr(serve_bench, runner, fake)
+    return calls
+
+
+class TestModeTable:
+    def test_table_covers_every_mode_and_flag(self):
+        from repro.harness.cli import MODE_FLAGS
+
+        assert set(MODE_FLAGS) == set(MODE_ARGV)
+        assert frozenset().union(*MODE_FLAGS.values()) == set(FLAG_ARGV)
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_ARGV))
+    @pytest.mark.parametrize("mode", sorted(MODE_ARGV))
+    def test_flag_accepted_exactly_when_the_table_says(
+        self, mode, flag, stub_runners, capsys
+    ):
+        from repro.harness.cli import MODE_FLAGS
+
+        argv = list(MODE_ARGV[mode])
+        if flag not in argv:
+            argv += [flag, *FLAG_ARGV[flag]]
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            # A mode flag may pick another mode, which then rejects the
+            # base mode's own flag: either way the table names the culprit.
+            assert " applies to " in str(exc) or " requires " in str(exc)
+            accepted = False
+        else:
+            assert status == 0
+            accepted = [name for name, _ in stub_runners] == [MODE_RUNNER[mode]]
+        assert accepted == (flag in MODE_FLAGS[mode])
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-bench", "--slo-us", "5", "--tenants", "9", "--kills", "7"],
+        ["serve-bench", "--async", "--connections", "4", "--tenants", "3",
+         "--slo-us", "1", "--kills", "5"],
+        ["serve-bench", "--trace-sample", "0.5"],
+        ["serve-bench", "--workers", "2", "--trace-sample", "0.5"],
+    ])
+    def test_flags_once_silently_ignored_rejected(self, argv, stub_runners):
+        with pytest.raises(SystemExit, match="applies to|requires"):
+            main(argv)
+        assert stub_runners == []
+
+    @pytest.mark.parametrize("flag", ["--clients", "--requests", "--tenants", "--kills"])
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_count_flags_must_be_positive_ints(self, flag, value, stub_runners, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve-bench", flag, value])
+        assert "expected an int >= 1" in capsys.readouterr().err
+        assert stub_runners == []
+
+    def test_count_lists_must_be_positive(self, stub_runners, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve-bench", "--workers", "1,0"])
+        assert "expected an int >= 1" in capsys.readouterr().err
+
+    def test_chaos_needs_two_worker_counts(self, stub_runners):
+        with pytest.raises(SystemExit, match="exactly two counts"):
+            main(["serve-bench", "--workers", "1,2,3", "--chaos"])
+        with pytest.raises(SystemExit, match="--chaos requires --workers"):
+            main(["serve-bench", "--chaos"])
+
+    def test_runners_default_unset_flags(self, stub_runners, capsys):
+        """Unset optional flags are not passed: each runner applies its own
+        default (2 victims, 2 kills, sampling rate 1.0)."""
+        main(["serve-bench", "--qos"])
+        main(["serve-bench", "--workers", "2,2", "--chaos", "--quick"])
+        main(["serve-bench", "--trace", "t.json"])
+        (_, qos), (_, chaos), (_, basic) = stub_runners
+        assert qos == {"seed": 0}
+        assert chaos["replicas"] == 2 and chaos["shards"] == 2
+        assert "kills" not in chaos and chaos["n_base"] == 6_000
+        assert basic == {"seed": 0, "trace_path": "t.json"}
+
+
+class TestVerdict:
+    def test_failed_check_exits_nonzero(self, monkeypatch, capsys):
+        from repro.harness import serve_bench
+
+        monkeypatch.setattr(
+            serve_bench, "run",
+            lambda **kw: _StubResult({"bit_identical": False, "other": True}),
+        )
+        assert main(["serve-bench"]) == 1
+        captured = capsys.readouterr()
+        assert "stub result" in captured.out
+        assert "check failed: bit_identical" in captured.err

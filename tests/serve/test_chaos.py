@@ -369,6 +369,7 @@ class TestChaosHarness:
         assert res.worker_restarts == 2
         assert res.bit_identical_before and res.bit_identical_after
         assert res.leaked_pids == []
+        assert all(res.checks.values())
         # R=2 over one shard: failover keeps full coverage the whole
         # time, so availability is exactly 1.
         assert res.partial_results == 0
