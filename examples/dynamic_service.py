@@ -2,7 +2,7 @@
 """Dynamic dataset deployment: the production loop around FANNS (§4).
 
 Production vector search systems manage insertions and deletions on top of
-the static snapshot the accelerator serves: a graph-based incremental index
+the static snapshot the accelerator serves: an exact incremental index
 buffers new vectors, a bitmap masks deletions, and a periodic merge produces
 the next snapshot — for which FANNS redesigns the accelerator while the old
 one keeps serving.

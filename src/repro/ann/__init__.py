@@ -6,7 +6,8 @@ Implements every algorithmic piece the paper depends on, in vectorized NumPy:
 - :mod:`repro.ann.kmeans` — k-means++ / Lloyd clustering.
 - :mod:`repro.ann.pq` — product quantization (encode, decode, ADC lookup).
 - :mod:`repro.ann.opq` — optimized product quantization (learned rotation).
-- :mod:`repro.ann.flat` — exact brute-force search (ground truth oracle).
+- :mod:`repro.ann.flat` — exact brute-force search (ground truth oracle) and
+  the growable exact index the dynamic service buffers inserts in.
 - :mod:`repro.ann.invlists` — packed CSR inverted-list storage (contiguous
   code/id slabs, zero-copy sharding) — the layout the accelerator streams.
 - :mod:`repro.ann.ivf` — the IVF-PQ index (train / add / batched search).
@@ -20,7 +21,6 @@ Implements every algorithmic piece the paper depends on, in vectorized NumPy:
 """
 
 from repro.ann.flat import FlatIndex, brute_force_topk
-from repro.ann.graph import NSWGraphIndex
 from repro.ann.invlists import InvListBuilder, PackedInvLists
 from repro.ann.io import load_index, load_index_dir, save_index, save_index_dir
 from repro.ann.ivf import IVFPQIndex
@@ -37,7 +37,6 @@ __all__ = [
     "IVFPQIndex",
     "InvListBuilder",
     "KMeans",
-    "NSWGraphIndex",
     "OPQTransform",
     "PackedInvLists",
     "ProductQuantizer",

@@ -1,12 +1,19 @@
-"""Exact brute-force search — the ground-truth oracle for recall evaluation."""
+"""Exact brute-force search: the recall oracle and the dynamic service's delta.
+
+:func:`brute_force_topk` is the ground truth for recall evaluation.
+:class:`FlatIndex` is an exact, growable index over full-precision rows.
+The dynamic service (:mod:`repro.service.dynamic`) uses it to buffer the
+vectors inserted since the last snapshot.  An append is a row copy and a
+search is one blocked squared-L2 product plus :func:`~repro.ann.merge.merge_topk`,
+so results are in the canonical (distance, id) order the service merges in.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.ann.distances import l2_sq_blocked, topk_smallest
+from repro.ann.merge import merge_topk
 
 __all__ = ["FlatIndex", "brute_force_topk"]
 
@@ -25,15 +32,61 @@ def brute_force_topk(
     return idx, vals
 
 
-@dataclass
 class FlatIndex:
-    """Minimal exact index with the same search signature as IVFPQIndex."""
+    """Exact index over float32 rows with int64 ids.
 
-    base: np.ndarray = field(repr=False)
+    ``FlatIndex(base)`` indexes ``base`` with ids ``0..n-1``; ``FlatIndex(d=d)``
+    starts empty.  Rows live in one contiguous matrix whose capacity doubles
+    as it grows, so :meth:`add` costs amortised O(rows added).
+    """
+
+    def __init__(self, base: np.ndarray | None = None, *, d: int | None = None):
+        if base is not None:
+            base = np.atleast_2d(base)
+            d = base.shape[1] if d is None else d
+        if d is None or d <= 0:
+            raise ValueError(f"d must be positive, got {d}")
+        self.d = d
+        self.ntotal = 0
+        self._vecs = np.empty((0, d), dtype=np.float32)  # (capacity, d)
+        self._ids = np.empty(0, dtype=np.int64)
+        if base is not None:
+            self.add(base)
+
+    def _check_dim(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise ValueError(f"expected dim {self.d}, got {x.shape[-1]} (shape {x.shape})")
+
+    def add(self, x: np.ndarray, ids: np.ndarray | None = None) -> "FlatIndex":
+        """Append rows; ``ids`` defaults to their row positions."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float32))
+        self._check_dim(x)
+        n, start = x.shape[0], self.ntotal
+        if ids is None:
+            ids = np.arange(start, start + n, dtype=np.int64)
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.shape != (n,):
+                raise ValueError(f"ids shape {ids.shape} != ({n},)")
+        if start + n > len(self._vecs):  # full: double the capacity
+            cap = max(2 * len(self._vecs), start + n, 16)
+            self._vecs = np.resize(self._vecs, (cap, self.d))
+            self._ids = np.resize(self._ids, cap)
+        self._vecs[start:start + n], self._ids[start:start + n] = x, ids
+        self.ntotal += n
+        return self
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return brute_force_topk(queries, self.base, k)
+        """Top-k ids and squared distances per query, ascending by (distance,
+        id); rows with fewer than ``k`` candidates pad with ``(-1, inf)``."""
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        self._check_dim(queries)
+        vecs, ids = self.vectors_and_ids()
+        dists = l2_sq_blocked(queries, vecs)
+        return merge_topk(np.broadcast_to(ids, dists.shape), dists, k)
 
-    @property
-    def ntotal(self) -> int:
-        return int(self.base.shape[0])
+    def vectors_and_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the stored rows and their ids."""
+        vecs, ids = self._vecs[: self.ntotal], self._ids[: self.ntotal]
+        vecs.flags.writeable = ids.flags.writeable = False
+        return vecs, ids

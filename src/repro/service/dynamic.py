@@ -4,8 +4,9 @@ Implements the deployment loop of §4:
 
 - **primary index** — an IVF-PQ index over the current dataset snapshot
   (the thing FANNS generates an accelerator for);
-- **incremental index** — a graph (NSW) buffer of vectors inserted since
-  the snapshot;
+- **incremental index** — an exact :class:`~repro.ann.flat.FlatIndex`
+  buffer of vectors inserted since the snapshot (cheap to append to and to
+  scan until the next merge);
 - **deletion bitmap** — ids removed since the snapshot are masked out of
   both indexes at query time;
 - **merge** — periodically (the paper: e.g. weekly) the delta and the
@@ -14,7 +15,9 @@ Implements the deployment loop of §4:
   deployment keeps serving ("the time taken to build the new accelerator is
   effectively concealed by the ongoing operation of the older system").
 
-Queries fan out to both indexes and merge the top-K, skipping deleted ids.
+Queries fan out to both indexes; deleted ids are masked and one
+:func:`~repro.ann.merge.merge_topk` call picks the top-K in the canonical
+(distance, id) order.
 
 The service is safe to mutate while it serves: ``search``/``search_batch``,
 ``insert``, ``delete``, and ``merge`` serialize on one reentrant lock, so a
@@ -45,8 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ann.graph import NSWGraphIndex
+from repro.ann.flat import FlatIndex
 from repro.ann.ivf import IVFPQIndex
+from repro.ann.merge import merge_topk
 
 __all__ = ["DynamicVectorService", "SnapshotStats"]
 
@@ -72,7 +76,7 @@ class SnapshotStats:
 
 
 class DynamicVectorService:
-    """Serves a mutable vector collection over IVF-PQ + NSW + bitmap."""
+    """Serves a mutable vector collection over IVF-PQ + exact delta + bitmap."""
 
     def __init__(
         self,
@@ -82,7 +86,6 @@ class DynamicVectorService:
         m: int = 16,
         ksub: int = 256,
         use_opq: bool = False,
-        graph_degree: int = 16,
         nprobe: int = 8,
         seed: int = 0,
     ):
@@ -91,12 +94,11 @@ class DynamicVectorService:
         self.m = m
         self.ksub = ksub
         self.use_opq = use_opq
-        self.graph_degree = graph_degree
         self.nprobe = nprobe
         self.seed = seed
 
         self.primary: IVFPQIndex | None = None
-        self.delta = NSWGraphIndex(d=d, max_degree=graph_degree, seed=seed)
+        self.delta = FlatIndex(d=d)
         self.deleted: set[int] = set()
         #: ``deleted`` as a sorted array: the per-batch search filter.
         self._tombstones = np.empty(0, dtype=np.int64)
@@ -109,7 +111,7 @@ class DynamicVectorService:
         self._lock = threading.RLock()
         #: During a merge() rebuild the pre-merge delta is frozen here and
         #: stays searchable; new inserts go to a fresh ``delta``.
-        self._frozen_delta: NSWGraphIndex | None = None
+        self._frozen_delta: FlatIndex | None = None
         #: Weak references to callables fired after every visible mutation
         #: (attached engines' cache invalidation; see module docstring).
         self._invalidation_listeners: list = []
@@ -195,6 +197,8 @@ class DynamicVectorService:
             if self.primary is None:
                 raise RuntimeError("bootstrap() must run before insert()")
             x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float32)
+            if x.ndim != 2 or x.shape[1] != self.d:  # before any id is spent
+                raise ValueError(f"expected (n, {self.d}) vectors, got shape {x.shape}")
             ids = self._allocate_ids(x.shape[0])
             self.delta.add(x, ids=ids)
         if ids.shape[0]:
@@ -232,7 +236,8 @@ class DynamicVectorService:
         """Merged top-k over (primary ∪ delta) \\ deleted.
 
         Over-fetches from both indexes to survive deletion filtering, then
-        merges by distance — the query path of the paper's deployment.
+        merges by (distance, id) — the query path of the paper's deployment.
+        ``k`` must be positive.
         ``nprobe`` overrides the service default for this call.
         """
         with self._lock:
@@ -256,21 +261,12 @@ class DynamicVectorService:
                     id_parts.append(g_ids)
                     dist_parts.append(g_dists)
 
-            # Batched merge: mask deleted/padding candidates to +inf, then one
-            # stable row-wise argsort — no per-query Python loop.
+            # Mask deleted candidates to +inf, then one batched (distance, id)
+            # merge; -1 / inf padding stays padding.
             ids = np.concatenate(id_parts, axis=1)
             dists = np.concatenate(dist_parts, axis=1).astype(np.float32, copy=True)
-            if ids.shape[1] < k:  # tiny index: fewer candidates than k
-                pad = k - ids.shape[1]
-                ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=-1)
-                dists = np.pad(dists, ((0, 0), (0, pad)), constant_values=np.inf)
-            drop = (ids < 0) | _in_sorted(self._tombstones, ids)
-            dists[drop] = np.inf
-            order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-            out_ids = np.take_along_axis(ids, order, axis=1)
-            out_dists = np.take_along_axis(dists, order, axis=1)
-            out_ids[~np.isfinite(out_dists)] = -1
-            return out_ids, out_dists
+            dists[_in_sorted(self._tombstones, ids)] = np.inf
+            return merge_topk(ids, dists, k)
 
     def search_batch(
         self, queries: np.ndarray, k: int, nprobe: int | None = None
@@ -302,9 +298,7 @@ class DynamicVectorService:
                 raise RuntimeError("a merge is already in progress")
             frozen = self.delta
             self._frozen_delta = frozen
-            self.delta = NSWGraphIndex(
-                d=self.d, max_degree=self.graph_degree, seed=self.seed
-            )
+            self.delta = FlatIndex(d=self.d)
             snap_vecs = self._snapshot_vectors
             snap_ids = self._snapshot_ids
             folded = self._tombstones  # replaced, never mutated, by delete()
@@ -328,8 +322,8 @@ class DynamicVectorService:
             new_primary.train(new_vecs)
             new_primary.add(new_vecs, ids=new_ids)
         except BaseException:
-            # Roll back: fold the (typically tiny) mid-rebuild delta into
-            # the frozen graph and reinstate it as the live delta — O(new
+            # Roll back: append the (typically tiny) mid-rebuild delta to
+            # the frozen one and reinstate it as the live delta — O(new
             # inserts) under the lock, not O(frozen size) — so the old
             # generation keeps serving the full collection and a later
             # merge() can retry.

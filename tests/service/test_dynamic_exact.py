@@ -176,7 +176,8 @@ def test_rollback_restores_answers(monkeypatch):
     assert entered.wait(timeout=60)
     release.set()
     merger.join(timeout=120)
-    assert len(errors) == 1 and svc._frozen_delta is None and svc.generation == 0
+    assert not merger.is_alive() and len(errors) == 1
+    assert svc._frozen_delta is None and svc.generation == 0
     for k, (want_ids, want_dists) in zip(KS, before):
         got_ids, got_dists = svc.search(queries, k)
         np.testing.assert_array_equal(got_ids, want_ids)
@@ -192,6 +193,24 @@ def test_rollback_restores_answers(monkeypatch):
     finally:
         release.set()
         merger.join(timeout=120)
-    assert len(errors) == 2 and svc._frozen_delta is None
+    assert not merger.is_alive() and len(errors) == 2 and svc._frozen_delta is None
     _assert_exact(svc, np.vstack([queries, vecs[140:145]]))
 
+
+
+def test_rejected_insert_burns_no_ids():
+    svc, vecs = _service(50, 15)
+    next_id = svc._next_id
+    for bad in (np.zeros((2, D - 3), np.float32), np.zeros((2, 2, D), np.float32)):
+        with pytest.raises(ValueError):
+            svc.insert(bad)
+        assert svc._next_id == next_id
+    np.testing.assert_array_equal(svc.insert(vecs[50:52]), [next_id, next_id + 1])
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_non_positive_k_raises(k):
+    svc, vecs = _service(50, 16)
+    svc.insert(vecs[50:55])
+    with pytest.raises(ValueError, match="k must be positive"):
+        svc.search(vecs[:2], k)
