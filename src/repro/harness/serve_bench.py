@@ -1448,9 +1448,7 @@ def run_multiproc(
             # Fresh planner per point: its stage counters are this
             # point's coarse-once evidence.
             planner = load_index_dir(tmp, mmap=True)
-            with WorkerPool(
-                tmp, n, max_batch=max_batch, max_wait_us=0.0
-            ) as pool:
+            with WorkerPool(tmp, n, max_batch=max_batch) as pool:
                 router = pool.sharded_backend(preselect=planner)
                 bit_identical &= _matches_search(
                     index, queries, k, nprobe, router.search_batch(queries, k, nprobe)
@@ -1781,8 +1779,7 @@ def run_chaos(
         save_index_dir(index, tmp)
         planner = load_index_dir(tmp, mmap=True)
         with WorkerPool(
-            tmp, shards, replicas=replicas, max_batch=max_batch,
-            max_wait_us=0.0,
+            tmp, shards, replicas=replicas, max_batch=max_batch
         ) as pool:
             router = pool.sharded_backend(
                 preselect=planner, on_shard_error="degrade"

@@ -55,9 +55,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.net.wire import (
-    ERR_INTERNAL,
-    ERR_QUOTA,
-    ERR_SHED,
     FRAME_ERROR,
     FRAME_PRESELECT,
     FRAME_RESULT,
@@ -69,6 +66,7 @@ from repro.serve.backends import BackendUnavailableError
 from repro.serve.protocol import (
     PreselectFrame,
     ProtocolError,
+    RemoteServeError,
     SearchFrame,
     StatsRequestFrame,
     decode_error,
@@ -77,19 +75,15 @@ from repro.serve.protocol import (
     decode_search,
     decode_stats_request,
     encode_batch_result,
-    encode_error,
+    encode_exception,
     encode_result,
     encode_search,
     encode_stats,
     read_frame,
+    remote_exception,
 )
 from repro.serve.qos import DEFAULT_TENANT
-from repro.serve.scheduler import (
-    AdmissionError,
-    QuotaExceededError,
-    ServeResult,
-    ServingEngine,
-)
+from repro.serve.scheduler import ServeResult, ServingEngine
 
 __all__ = [
     "AsyncClient",
@@ -97,10 +91,6 @@ __all__ = [
     "RemoteServeError",
     "VectorSearchServer",
 ]
-
-
-class RemoteServeError(RuntimeError):
-    """A server-side failure reported through an error frame."""
 
 
 class AsyncServingEngine:
@@ -395,17 +385,16 @@ class VectorSearchServer:
                 ftype, payload = frame
                 try:
                     if ftype == FRAME_SEARCH:
-                        req = decode_search(payload)
-                        coro = self._serve_one(req, writer, wlock)
+                        req, answer = decode_search(payload), self._search_reply
                     elif (
                         ftype == FRAME_PRESELECT
                         and self.preselect_backend is not None
                     ):
                         req = decode_preselect(payload)
-                        coro = self._serve_preselect(req, writer, wlock)
+                        answer = self._preselect_reply
                     elif ftype == FRAME_STATS_REQUEST:
-                        sreq = decode_stats_request(payload)
-                        coro = self._serve_stats(sreq, writer, wlock)
+                        req = decode_stats_request(payload)
+                        answer = self._stats_reply
                     else:
                         # Response frames (or preselect at a server not
                         # configured for it) are not valid client traffic.
@@ -415,7 +404,7 @@ class VectorSearchServer:
                     m.inc("protocol_errors")
                     break
                 m.inc("frames_in")
-                task = asyncio.create_task(coro)
+                task = asyncio.create_task(self._reply(answer, req, writer, wlock))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         finally:
@@ -436,35 +425,19 @@ class VectorSearchServer:
             self._open -= 1
             m.set_gauge("connections_open", self._open)
 
-    async def _serve_one(
-        self, req: SearchFrame, writer: asyncio.StreamWriter, wlock: asyncio.Lock
+    async def _reply(
+        self, answer, req, writer: asyncio.StreamWriter, wlock: asyncio.Lock
     ) -> None:
-        """Serve one request task: await the engine, write one frame."""
+        """One request task: compute ``await answer(req)``, write the frame.
+
+        The one write path of every request kind.  A request that fails
+        answers with the error frame of its exception
+        (:func:`~repro.serve.protocol.encode_exception`).
+        """
         try:
-            res = await self.aengine.search(
-                req.query, req.k, req.nprobe,
-                tenant=req.tenant, priority=req.priority, trace=req.trace,
-            )
-            frame = encode_result(
-                req.request_id, res.ids, res.dists,
-                queue_us=res.queue_us, exec_us=res.exec_us,
-                batch_size=res.batch_size, cache_hit=res.cache_hit,
-                coverage=res.coverage,
-            )
-        except QuotaExceededError as exc:
-            frame = encode_error(
-                req.request_id, ERR_QUOTA,
-                retry_after_s=exc.retry_after_s or 0.0, message=str(exc),
-            )
-        except AdmissionError as exc:
-            frame = encode_error(req.request_id, ERR_SHED, message=str(exc))
-        except asyncio.CancelledError:
-            raise
+            frame = await answer(req)
         except Exception as exc:
-            frame = encode_error(
-                req.request_id, ERR_INTERNAL,
-                message=f"{type(exc).__name__}: {exc}",
-            )
+            frame = encode_exception(req.request_id, exc)
         try:
             async with wlock:
                 writer.write(frame)
@@ -472,6 +445,19 @@ class VectorSearchServer:
             self.metrics.inc("frames_out")
         except (ConnectionError, OSError):
             pass  # peer vanished between compute and write; nothing to do
+
+    async def _search_reply(self, req: SearchFrame) -> bytes:
+        """Answer one search frame: await the engine, encode the result."""
+        res = await self.aengine.search(
+            req.query, req.k, req.nprobe,
+            tenant=req.tenant, priority=req.priority, trace=req.trace,
+        )
+        return encode_result(
+            req.request_id, res.ids, res.dists,
+            queue_us=res.queue_us, exec_us=res.exec_us,
+            batch_size=res.batch_size, cache_hit=res.cache_hit,
+            coverage=res.coverage,
+        )
 
     def _preselect_executor(self) -> ThreadPoolExecutor:
         """The lazily-created single-thread preselect scan executor."""
@@ -481,10 +467,8 @@ class VectorSearchServer:
             )
         return self._pre_pool
 
-    async def _serve_preselect(
-        self, req: PreselectFrame, writer: asyncio.StreamWriter, wlock: asyncio.Lock
-    ) -> None:
-        """Serve one preselect batch: scan off-loop, write one frame.
+    async def _preselect_reply(self, req: PreselectFrame) -> bytes:
+        """Answer one preselect batch: scan off-loop, encode the result.
 
         The scan runs on the dedicated single-thread executor, so
         concurrent preselect frames (and the engine's own dispatcher,
@@ -520,35 +504,17 @@ class VectorSearchServer:
             c1 = stats.codes_scanned if stats is not None else 0
             return ids, dists, c1 - c0, exec_us
 
-        try:
-            loop = asyncio.get_running_loop()
-            ids, dists, codes, exec_us = await loop.run_in_executor(
-                self._preselect_executor(), scan
-            )
-            spans = tracer.drain(req.trace.trace_id) if traced else None
-            frame = encode_batch_result(
-                req.request_id, ids, dists,
-                exec_us=exec_us, codes_scanned=codes, spans=spans,
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            frame = encode_error(
-                req.request_id, ERR_INTERNAL,
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        try:
-            async with wlock:
-                writer.write(frame)
-                await writer.drain()
-            self.metrics.inc("frames_out")
-        except (ConnectionError, OSError):
-            pass  # peer vanished between compute and write; nothing to do
+        loop = asyncio.get_running_loop()
+        ids, dists, codes, exec_us = await loop.run_in_executor(
+            self._preselect_executor(), scan
+        )
+        spans = tracer.drain(req.trace.trace_id) if traced else None
+        return encode_batch_result(
+            req.request_id, ids, dists,
+            exec_us=exec_us, codes_scanned=codes, spans=spans,
+        )
 
-    async def _serve_stats(
-        self, req: StatsRequestFrame, writer: asyncio.StreamWriter,
-        wlock: asyncio.Lock,
-    ) -> None:
+    async def _stats_reply(self, req: StatsRequestFrame) -> bytes:
         """Answer one metrics scrape: registry snapshot, optional spans.
 
         The worker side of ``WorkerPool.stats()``: ships this process's
@@ -570,14 +536,7 @@ class VectorSearchServer:
         if events is not None and req.drain_events:
             data["events"] = events.drain()
             data["dropped_events"] = events.dropped
-        frame = encode_stats(req.request_id, data)
-        try:
-            async with wlock:
-                writer.write(frame)
-                await writer.drain()
-            self.metrics.inc("frames_out")
-        except (ConnectionError, OSError):
-            pass  # peer vanished between compute and write; nothing to do
+        return encode_stats(req.request_id, data)
 
     async def _serve_metrics_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -681,9 +640,12 @@ class AsyncClient:
         return await fut
 
     async def close(self) -> None:
-        """Close the connection; in-flight requests fail locally."""
-        if self._closed:
-            return
+        """Close the connection; in-flight requests fail locally.
+
+        Idempotent, and always closes the socket, also after the server
+        dropped the connection (the reader loop already marked the
+        client closed then).
+        """
         self._closed = True
         self._read_task.cancel()
         try:
@@ -719,33 +681,18 @@ class AsyncClient:
 
     def _dispatch(self, ftype: int, payload: bytes) -> None:
         """Resolve the pending future a response frame addresses."""
-        if ftype not in (FRAME_RESULT, FRAME_ERROR):
-            raise ProtocolError(f"server sent frame type 0x{ftype:02x}")
         if ftype == FRAME_ERROR:
-            err = decode_error(payload)
-            entry = self._pending.pop(err.request_id, None)
-            if entry is None:
-                return  # response to an abandoned request; drop
-            fut, _tenant = entry
-            if fut.done():
-                return
-            if err.code == ERR_QUOTA:
-                fut.set_exception(
-                    QuotaExceededError(
-                        err.message, retry_after_s=err.retry_after_s
-                    )
-                )
-            elif err.code == ERR_SHED:
-                fut.set_exception(AdmissionError(err.message))
-            else:
-                fut.set_exception(RemoteServeError(err.message))
-            return
-        decoded = decode_result(payload)
+            decoded = decode_error(payload)
+        elif ftype == FRAME_RESULT:
+            decoded = decode_result(payload)
+        else:
+            raise ProtocolError(f"server sent frame type 0x{ftype:02x}")
         entry = self._pending.pop(decoded.request_id, None)
-        if entry is None:
-            return
+        if entry is None or entry[0].done():
+            return  # response to an abandoned request; drop
         fut, tenant = entry
-        if fut.done():
+        if ftype == FRAME_ERROR:
+            fut.set_exception(remote_exception(decoded))
             return
         fut.set_result(
             ServeResult(

@@ -13,7 +13,10 @@ type-specific payload.
 - **error** (server → client): request id, an error code (shed / quota /
   internal), a ``retry_after_s`` hint (quota sheds carry the token
   bucket's refill time, so well-behaved clients can back off precisely
-  instead of polling), and a short message.
+  instead of polling), and a short message.  The error table lives here
+  alone: :func:`encode_exception` turns a server-side exception into an
+  error frame and :func:`remote_exception` turns the frame back into the
+  exception a local engine would have raised.
 
 Request ids correlate responses to requests: a connection may pipeline
 many requests and the server answers in completion order, not arrival
@@ -29,21 +32,30 @@ length-prefixed JSON blob, also flag-gated); everything else a worker
 records drains through the stats frame pair, which doubles as the
 metrics-scrape channel for ``WorkerPool.stats()``.
 
+Every payload starts with its u32 request id (:func:`request_id_of`
+reads it without decoding the rest).
+
 Encoding is pure (bytes in, frames out) so it is testable without
-sockets; :func:`read_frame` is the one asyncio-aware helper, reading one
-validated frame from a :class:`asyncio.StreamReader`.
+sockets.  The frame header is checked in one place, :func:`parse_header`,
+which both readers call: :func:`read_frame` is the one asyncio-aware
+helper, reading one validated frame from a :class:`asyncio.StreamReader`,
+and the blocking router-side client reads through the same check.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.net.wire import (
     BATCH_RESULT_FIXED,
+    ERR_INTERNAL,
+    ERR_QUOTA,
+    ERR_SHED,
     ERROR_FIXED,
     FRAME_BATCH_RESULT,
     FRAME_ERROR,
@@ -65,12 +77,14 @@ from repro.net.wire import (
 )
 from repro.obs.trace import SpanContext
 from repro.serve.qos import DEFAULT_TENANT
+from repro.serve.scheduler import AdmissionError, QuotaExceededError
 
 __all__ = [
     "BatchResultFrame",
     "ErrorFrame",
     "PreselectFrame",
     "ProtocolError",
+    "RemoteServeError",
     "ResultFrame",
     "SearchFrame",
     "StatsFrame",
@@ -84,12 +98,16 @@ __all__ = [
     "decode_stats_request",
     "encode_batch_result",
     "encode_error",
+    "encode_exception",
     "encode_preselect",
     "encode_result",
     "encode_search",
     "encode_stats",
     "encode_stats_request",
+    "parse_header",
     "read_frame",
+    "remote_exception",
+    "request_id_of",
 ]
 
 #: Flag bits of a search frame.
@@ -107,8 +125,18 @@ STATS_FLAG_DRAIN_SPANS = 0x01  # also drain + return buffered spans
 STATS_FLAG_DRAIN_EVENTS = 0x02  # also drain + return the event journal
 
 
+#: Bytes of the frame header every frame starts with.
+HEADER_SIZE = FRAME_HEADER.size
+#: The u32 request id every payload starts with.
+_REQUEST_ID = struct.Struct("<I")
+
+
 class ProtocolError(RuntimeError):
     """A malformed, truncated, or wrong-version frame."""
+
+
+class RemoteServeError(RuntimeError):
+    """A server-side failure reported through an error frame."""
 
 
 @dataclass(frozen=True)
@@ -352,6 +380,35 @@ def decode_error(payload: bytes) -> ErrorFrame:
     )
 
 
+def encode_exception(request_id: int, exc: Exception) -> bytes:
+    """Encode the error frame that reports ``exc`` to the requester.
+
+    A quota shed keeps its ``retry_after_s``; it is checked before the
+    plain shed because :class:`QuotaExceededError` subclasses
+    :class:`AdmissionError`.  Any other exception is an internal failure
+    whose message names the exception type.
+    """
+    if isinstance(exc, QuotaExceededError):
+        return encode_error(
+            request_id, ERR_QUOTA,
+            retry_after_s=exc.retry_after_s or 0.0, message=str(exc),
+        )
+    if isinstance(exc, AdmissionError):
+        return encode_error(request_id, ERR_SHED, message=str(exc))
+    return encode_error(
+        request_id, ERR_INTERNAL, message=f"{type(exc).__name__}: {exc}"
+    )
+
+
+def remote_exception(err: ErrorFrame) -> Exception:
+    """The local exception a decoded error frame stands for."""
+    if err.code == ERR_QUOTA:
+        return QuotaExceededError(err.message, retry_after_s=err.retry_after_s)
+    if err.code == ERR_SHED:
+        return AdmissionError(err.message)
+    return RemoteServeError(err.message)
+
+
 def encode_preselect(
     request_id: int,
     queries_t: np.ndarray,
@@ -580,7 +637,8 @@ def decode_stats(payload: bytes) -> StatsFrame:
     return StatsFrame(request_id=request_id, data=data)
 
 
-#: payload decoder per frame type (used by :func:`read_frame` callers).
+#: payload decoder per frame type (its keys are the frame types
+#: :func:`parse_header` accepts).
 DECODERS = {
     FRAME_SEARCH: decode_search,
     FRAME_RESULT: decode_result,
@@ -592,22 +650,12 @@ DECODERS = {
 }
 
 
-async def read_frame(reader) -> tuple[int, bytes] | None:
-    """Read one validated ``(frame_type, payload)`` from a stream reader.
+def parse_header(header: bytes) -> tuple[int, int]:
+    """Validate one 8-byte frame header; returns ``(frame_type, length)``.
 
-    Returns ``None`` on a clean EOF at a frame boundary (the peer closed
-    the connection between frames).  Raises :class:`ProtocolError` on a
-    bad magic, an unsupported version, an oversized length prefix, or an
-    EOF mid-frame.
+    Raises :class:`ProtocolError` on a bad magic, an unsupported
+    version, an unknown frame type, or an oversized length prefix.
     """
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise ProtocolError(
-            f"connection closed mid-header ({len(exc.partial)} bytes)"
-        ) from None
     magic, version, ftype, length = FRAME_HEADER.unpack(header)
     if magic != WIRE_MAGIC:
         raise ProtocolError(f"bad frame magic 0x{magic:04x}")
@@ -619,6 +667,34 @@ async def read_frame(reader) -> tuple[int, bytes] | None:
         raise ProtocolError(f"unknown frame type 0x{ftype:02x}")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    return ftype, length
+
+
+def request_id_of(payload: bytes) -> int:
+    """The request id a payload carries, read without decoding the rest."""
+    if len(payload) < _REQUEST_ID.size:
+        raise ProtocolError(
+            f"payload too short for a request id ({len(payload)} bytes)"
+        )
+    return _REQUEST_ID.unpack_from(payload)[0]
+
+
+async def read_frame(reader) -> tuple[int, bytes] | None:
+    """Read one validated ``(frame_type, payload)`` from a stream reader.
+
+    Returns ``None`` on a clean EOF at a frame boundary (the peer closed
+    the connection between frames).  Raises :class:`ProtocolError` on a
+    header :func:`parse_header` rejects or an EOF mid-frame.
+    """
+    try:
+        header = await reader.readexactly(HEADER_SIZE)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None  # clean close between frames
+        raise ProtocolError(
+            f"connection closed mid-header ({len(exc.partial)} bytes)"
+        ) from None
+    ftype, length = parse_header(header)
     try:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:

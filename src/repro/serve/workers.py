@@ -62,23 +62,14 @@ import numpy as np
 
 from repro.ann.io import load_index_dir
 from repro.ann.partition import partition_index, replicate_index, shard_cell_sizes
-from repro.net.wire import (
-    ERR_QUOTA,
-    ERR_SHED,
-    FRAME_BATCH_RESULT,
-    FRAME_ERROR,
-    FRAME_HEADER,
-    FRAME_RESULT,
-    FRAME_STATS,
-    MAX_FRAME_BYTES,
-    WIRE_MAGIC,
-    WIRE_VERSION,
-)
+from repro.net.wire import FRAME_BATCH_RESULT, FRAME_ERROR, FRAME_RESULT, FRAME_STATS
 from repro.obs.events import EventLog
 from repro.obs.trace import Tracer, current_span
-from repro.serve.aio import RemoteServeError, VectorSearchServer
+from repro.serve.aio import VectorSearchServer
 from repro.serve.protocol import (
+    HEADER_SIZE,
     ProtocolError,
+    RemoteServeError,
     decode_batch_result,
     decode_error,
     decode_result,
@@ -86,14 +77,13 @@ from repro.serve.protocol import (
     encode_preselect,
     encode_search,
     encode_stats_request,
+    parse_header,
+    remote_exception,
+    request_id_of,
 )
 from repro.serve.backends import BackendUnavailableError
 from repro.serve.routing import ReplicaSet, ShardedBackend
-from repro.serve.scheduler import (
-    AdmissionError,
-    QuotaExceededError,
-    ServingEngine,
-)
+from repro.serve.scheduler import ServingEngine
 
 __all__ = [
     "RemoteBackend",
@@ -103,19 +93,20 @@ __all__ = [
     "worker_main",
 ]
 
-#: Default socket timeout for router<->worker exchanges, seconds.  Local
-#: sockets answer in microseconds; anything near this bound means the
-#: worker is wedged and the call should fail into degraded mode.
-DEFAULT_RPC_TIMEOUT_S = 120.0
-
-
-def _raise_error_frame(err) -> None:
-    """Re-raise a decoded error frame as the matching local exception."""
-    if err.code == ERR_QUOTA:
-        raise QuotaExceededError(err.message, retry_after_s=err.retry_after_s)
-    if err.code == ERR_SHED:
-        raise AdmissionError(err.message)
-    raise RemoteServeError(err.message)
+#: Socket timeout per router<->worker exchange, seconds.  Local sockets
+#: answer in microseconds; anything near this bound means the worker is
+#: wedged and the call should fail into degraded mode.
+RPC_TIMEOUT_S = 120.0
+#: Extra exchange attempts after a transport failure, each on a freshly
+#: dialed connection.  A dropped connection to a *live* worker (e.g. the
+#: worker shed the socket after a protocol error on it) heals
+#: transparently instead of failing the scatter; a dead worker refuses
+#: the dial immediately, so retries stay cheap.
+RECONNECT_ATTEMPTS = 1
+#: Base sleep between reconnect attempts, doubled per attempt.
+RECONNECT_BACKOFF_S = 0.05
+#: Admission queue depth of a worker's engine (shed policy).
+WORKER_QUEUE_DEPTH = 8192
 
 
 class RemoteBackend:
@@ -138,22 +129,19 @@ class RemoteBackend:
     cell_sizes : per-cell sizes of the worker's shard; when given, the
         preselect path prunes each plan to the cells this shard can
         actually contribute to (empty slots become ``-1`` on the wire).
-    timeout_s : socket timeout per exchange; a wedged worker fails the
-        call (degraded mode turns that into a coverage hole).
-    reconnect_attempts : extra exchange attempts after a transport
-        failure, each on a freshly-dialed connection.  A dropped
-        connection to a *live* worker (e.g. the worker shed the socket
-        after a protocol error on it) heals transparently instead of
-        failing the scatter; a dead worker refuses the dial immediately,
-        so retries stay cheap.
-    reconnect_backoff_s : base sleep between reconnect attempts
-        (doubled per attempt).
+
+    Every exchange times out after :data:`RPC_TIMEOUT_S` (a wedged
+    worker fails the call; degraded mode turns that into a coverage
+    hole) and a transport failure is retried :data:`RECONNECT_ATTEMPTS`
+    times on a fresh dial.
 
     **Typed errors**: every transport failure — reset, refused dial,
-    broken pipe, timeout, misaligned frames — surfaces as
+    broken pipe, timeout, malformed frames — surfaces as
     :class:`~repro.serve.backends.BackendUnavailableError` after the
     retry budget, never as a raw socket exception, so replica failover
-    and ``on_shard_error="degrade"`` always engage.
+    and ``on_shard_error="degrade"`` always engage.  An error frame
+    answering a call raises the exception the worker's engine raised
+    (:func:`~repro.serve.protocol.remote_exception`).
     """
 
     def __init__(
@@ -164,22 +152,12 @@ class RemoteBackend:
         d: int | None = None,
         ntotal: int | None = None,
         cell_sizes: np.ndarray | None = None,
-        timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
-        reconnect_attempts: int = 1,
-        reconnect_backoff_s: float = 0.05,
     ):
-        if reconnect_attempts < 0:
-            raise ValueError(
-                f"reconnect_attempts must be >= 0, got {reconnect_attempts}"
-            )
         self.host = host
         self.port = port
         self.d = d
         self.ntotal = ntotal
         self.cell_sizes = cell_sizes
-        self.timeout_s = timeout_s
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_backoff_s = reconnect_backoff_s
         self._lock = threading.Lock()
         self._rid = 0
         self._closed = False
@@ -193,10 +171,7 @@ class RemoteBackend:
     # ------------------------------------------------------------------ #
     def _connect(self) -> None:
         """Dial the worker (caller holds the lock, or is ``__init__``)."""
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout_s
-        )
-        sock.settimeout(self.timeout_s)
+        sock = socket.create_connection((self.host, self.port), timeout=RPC_TIMEOUT_S)
         # Frames are small and latency-bound: never wait for Nagle.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
@@ -242,13 +217,13 @@ class RemoteBackend:
         """
         with self._lock:
             last: Exception | None = None
-            for attempt in range(self.reconnect_attempts + 1):
+            for attempt in range(RECONNECT_ATTEMPTS + 1):
                 if self._closed:
                     raise BackendUnavailableError(
                         f"backend {self.host}:{self.port} is closed"
                     )
                 if attempt:
-                    time.sleep(self.reconnect_backoff_s * (1 << (attempt - 1)))
+                    time.sleep(RECONNECT_BACKOFF_S * (1 << (attempt - 1)))
                 try:
                     if self._sock is None:
                         self._connect()
@@ -257,14 +232,14 @@ class RemoteBackend:
                     self._drop_socket()
                     raise BackendUnavailableError(
                         f"worker {self.host}:{self.port} did not answer "
-                        f"within {self.timeout_s:.0f}s"
+                        f"within {RPC_TIMEOUT_S:.0f}s"
                     ) from exc
                 except (OSError, ProtocolError) as exc:
                     last = exc
                     self._drop_socket()
             raise BackendUnavailableError(
                 f"worker {self.host}:{self.port} unavailable after "
-                f"{self.reconnect_attempts + 1} attempt(s): {last}"
+                f"{RECONNECT_ATTEMPTS + 1} attempt(s): {last}"
             ) from last
 
     def _read_exact(self, n: int) -> bytes:
@@ -287,18 +262,41 @@ class RemoteBackend:
 
     def _read_frame(self) -> tuple[int, bytes]:
         """Read one validated ``(frame_type, payload)`` (blocking)."""
-        magic, version, ftype, length = FRAME_HEADER.unpack(
-            self._read_exact(FRAME_HEADER.size)
-        )
-        if magic != WIRE_MAGIC:
-            raise ProtocolError(f"bad frame magic 0x{magic:04x}")
-        if version != WIRE_VERSION:
-            raise ProtocolError(
-                f"peer speaks protocol v{version}, this end v{WIRE_VERSION}"
-            )
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+        ftype, length = parse_header(self._read_exact(HEADER_SIZE))
         return ftype, self._read_exact(length)
+
+    def _replies(self, rids, ftype: int):
+        """Yield ``(rid, payload)`` as the reply to each of ``rids`` arrives.
+
+        The one reply matcher of every exchange.  A frame carrying
+        another request id is a stale reply to an earlier failed call
+        and is skipped, whatever its type.  An error frame answering one
+        of ``rids`` yields its mapped exception in place of the payload;
+        a frame of any other type than ``ftype`` answering one is a
+        :class:`ProtocolError`.
+        """
+        pending = set(rids)
+        while pending:
+            got, payload = self._read_frame()
+            rid = request_id_of(payload)
+            if rid not in pending:
+                continue
+            pending.discard(rid)
+            if got == FRAME_ERROR:
+                yield rid, remote_exception(decode_error(payload))
+            elif got != ftype:
+                raise ProtocolError(
+                    f"worker answered request {rid} with frame type 0x{got:02x}"
+                )
+            else:
+                yield rid, payload
+
+    def _reply(self, rid: int, ftype: int) -> bytes:
+        """The ``ftype`` payload answering ``rid``; raises an error reply."""
+        _, reply = next(self._replies([rid], ftype))
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     def _next_rids(self, n: int) -> list[int]:
         """Allocate ``n`` request ids (caller holds the lock)."""
@@ -335,31 +333,21 @@ class RemoteBackend:
             for rid, q in zip(rids, queries):
                 buf += encode_search(rid, q, k, nprobe, trace=ctx)
             self._sock.sendall(buf)
-            pending = {rid: i for i, rid in enumerate(rids)}
+            row = {rid: i for i, rid in enumerate(rids)}
             first_err = None
-            while pending:
-                ftype, payload = self._read_frame()
-                if ftype == FRAME_ERROR:
-                    err = decode_error(payload)
-                    if pending.pop(err.request_id, None) is not None:
-                        first_err = first_err or err
+            for rid, reply in self._replies(rids, FRAME_RESULT):
+                if isinstance(reply, Exception):
+                    first_err = first_err or reply
                     continue
-                if ftype != FRAME_RESULT:
-                    raise ProtocolError(
-                        f"worker sent frame type 0x{ftype:02x} to a search"
-                    )
-                res = decode_result(payload)
-                i = pending.pop(res.request_id, None)
-                if i is None:
-                    continue  # stale response from an earlier failed call
+                res = decode_result(reply)
                 if res.ids.shape[0] != k:
                     raise RemoteServeError(
                         f"worker answered k={res.ids.shape[0]}, wanted {k}"
                     )
-                out_ids[i] = res.ids
-                out_dists[i] = res.dists
+                out_ids[row[rid]] = res.ids
+                out_dists[row[rid]] = res.dists
             if first_err is not None:
-                _raise_error_frame(first_err)
+                raise first_err
             return out_ids, out_dists
 
         return self._exchange(body)
@@ -390,27 +378,16 @@ class RemoteBackend:
             self._sock.sendall(
                 encode_preselect(rid, queries_t, probed, k, trace=ctx)
             )
-            while True:
-                ftype, payload = self._read_frame()
-                if ftype == FRAME_ERROR:
-                    err = decode_error(payload)
-                    if err.request_id == rid:
-                        _raise_error_frame(err)
-                    continue
-                if ftype != FRAME_BATCH_RESULT:
-                    continue  # stale single-result from an earlier failed call
-                res = decode_batch_result(payload)
-                if res.request_id != rid:
-                    continue
-                self.codes_scanned += res.codes_scanned
-                if res.spans and span:
-                    span.tracer.ingest(res.spans)
-                # Copy out of the payload buffer: callers may hold these
-                # past the next exchange.
-                return (
-                    np.array(res.ids, dtype=np.int64),
-                    np.array(res.dists, dtype=np.float32),
-                )
+            res = decode_batch_result(self._reply(rid, FRAME_BATCH_RESULT))
+            self.codes_scanned += res.codes_scanned
+            if res.spans and span:
+                span.tracer.ingest(res.spans)
+            # Copy out of the payload buffer: callers may hold these past
+            # the next exchange.
+            return (
+                np.array(res.ids, dtype=np.int64),
+                np.array(res.dists, dtype=np.float32),
+            )
 
         return self._exchange(body)
 
@@ -433,14 +410,7 @@ class RemoteBackend:
                     rid, drain_spans=drain_spans, drain_events=drain_events
                 )
             )
-            while True:
-                ftype, payload = self._read_frame()
-                if ftype != FRAME_STATS:
-                    continue  # stale response from an earlier failed call
-                res = decode_stats(payload)
-                if res.request_id != rid:
-                    continue
-                return res.data
+            return decode_stats(self._reply(rid, FRAME_STATS)).data
 
         return self._exchange(body)
 
@@ -483,14 +453,15 @@ class RestartRecord:
     coverage_restored_us: float
 
 
-def _worker_env(blas_threads: int | None = 1) -> dict[str, str]:
-    """Child-process environment: importable ``repro``, bounded BLAS.
+def _worker_env() -> dict[str, str]:
+    """Child-process environment: importable ``repro``, one BLAS thread.
 
     The package root is prepended to ``PYTHONPATH`` (tests run with
     ``sys.path`` injection, which children do not inherit), and BLAS
-    thread pools are pinned so N workers do not oversubscribe the host
-    with N×threads — the scan path is single-threaded NumPy; parallelism
-    comes from the processes themselves.
+    thread pools are pinned to one thread so N workers do not
+    oversubscribe the host with N×threads — the scan path is
+    single-threaded NumPy; parallelism comes from the processes
+    themselves.
     """
     env = os.environ.copy()
     pkg_root = str(Path(__file__).resolve().parents[2])
@@ -498,9 +469,8 @@ def _worker_env(blas_threads: int | None = 1) -> dict[str, str]:
     if env.get("PYTHONPATH"):
         parts.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(parts)
-    if blas_threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(blas_threads)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
     return env
 
 
@@ -532,6 +502,13 @@ class WorkerPool:
     ``coverage_restored_us`` land in the supervisor's metrics registry
     when one is given).
 
+    Each worker memory-maps the index, serves its engine with no batch
+    window (the router already batches) behind a
+    :data:`WORKER_QUEUE_DEPTH`-deep shed queue, and runs one BLAS
+    thread; ``max_batch`` caps its engine batch, ``startup_timeout_s``
+    bounds the readiness handshake, and every router↔worker exchange
+    times out after :data:`RPC_TIMEOUT_S`.
+
     Shutdown is graceful-first: :meth:`stop` closes each worker's stdin
     (the worker drains its engine and exits 0), then escalates to
     SIGTERM and SIGKILL on the stragglers — including any half-started
@@ -548,12 +525,7 @@ class WorkerPool:
         replicas: int = 1,
         host: str = "127.0.0.1",
         max_batch: int = 64,
-        max_wait_us: float = 0.0,
-        queue_depth: int = 8192,
-        mmap: bool = True,
-        blas_threads: int | None = 1,
         startup_timeout_s: float = 120.0,
-        rpc_timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -569,12 +541,7 @@ class WorkerPool:
         self.replicas = replicas
         self.host = host
         self.max_batch = max_batch
-        self.max_wait_us = max_wait_us
-        self.queue_depth = queue_depth
-        self.mmap = mmap
-        self.blas_threads = blas_threads
         self.startup_timeout_s = startup_timeout_s
-        self.rpc_timeout_s = rpc_timeout_s
         #: Current occupant of each worker slot, shard-major
         #: (``wid = shard * replicas + replica``).
         self._procs: list[subprocess.Popen] = []
@@ -621,7 +588,7 @@ class WorkerPool:
 
     def _spawn_cmd(self, shard: int) -> list[str]:
         """The child-process command line for one shard worker."""
-        cmd = [
+        return [
             sys.executable, "-c", self._BOOTSTRAP,
             "--index-dir", str(self.index_dir),
             "--shard", str(shard),
@@ -629,12 +596,7 @@ class WorkerPool:
             "--host", self.host,
             "--port", "0",
             "--max-batch", str(self.max_batch),
-            "--max-wait-us", str(self.max_wait_us),
-            "--queue-depth", str(self.queue_depth),
         ]
-        if not self.mmap:
-            cmd.append("--no-mmap")
-        return cmd
 
     @staticmethod
     def _read_line(proc: subprocess.Popen, timeout_s: float) -> str | None:
@@ -675,7 +637,7 @@ class WorkerPool:
     def _spawn(self, shard: int) -> subprocess.Popen:
         """Launch one worker process for ``shard`` (any replica slot)."""
         if self._env is None:
-            self._env = _worker_env(self.blas_threads)
+            self._env = _worker_env()
         proc = subprocess.Popen(
             self._spawn_cmd(shard),
             stdin=subprocess.PIPE,
@@ -748,13 +710,13 @@ class WorkerPool:
             self._cell_sizes = np.diff(np.asarray(offsets, dtype=np.int64))
         return shard_cell_sizes(self._cell_sizes, shard, self.n_workers)
 
-    def backends(self, *, prune_cells: bool = True) -> list[RemoteBackend]:
+    def backends(self) -> list[RemoteBackend]:
         """One connected :class:`RemoteBackend` per worker (cached).
 
-        Flat, shard-major (``wid`` order).  ``prune_cells`` attaches each
-        shard's per-cell sizes (derived locally from the saved offsets —
-        shard layout is deterministic) so preselect scatters carry
-        per-shard cell subsets.
+        Flat, shard-major (``wid`` order).  Each carries its shard's
+        per-cell sizes (derived locally from the saved offsets — shard
+        layout is deterministic) so preselect scatters carry per-shard
+        cell subsets.
         """
         if not self.started:
             raise RuntimeError("pool is not started")
@@ -763,10 +725,7 @@ class WorkerPool:
                 RemoteBackend(
                     w.host, w.port,
                     d=w.d, ntotal=w.ntotal,
-                    cell_sizes=(
-                        self._shard_sizes(w.shard) if prune_cells else None
-                    ),
-                    timeout_s=self.rpc_timeout_s,
+                    cell_sizes=self._shard_sizes(w.shard),
                 )
                 for w in self.workers
             ]
@@ -777,8 +736,6 @@ class WorkerPool:
         *,
         preselect=None,
         on_shard_error: str = "raise",
-        scatter_workers: int | None = None,
-        prune_cells: bool = True,
         policy: str = "least-loaded",
         seed: int = 0,
     ) -> ShardedBackend:
@@ -798,7 +755,7 @@ class WorkerPool:
         coverage hole.  The columns are remembered so the supervisor can
         mark replicas down on death and up on recovery.
         """
-        backs = self.backends(prune_cells=prune_cells)
+        backs = self.backends()
         if self.replicas == 1:
             shards: list = list(backs)
             self._groups = None
@@ -815,7 +772,6 @@ class WorkerPool:
         return ShardedBackend(
             shards,
             parallel=True,
-            scatter_workers=scatter_workers,
             on_shard_error=on_shard_error,
             shard_weights=[
                 self.workers[self._wid(s, 0)].ntotal
@@ -844,7 +800,7 @@ class WorkerPool:
                 per.append(
                     backend.stats(drain_spans=drain_spans, drain_events=drain_events)
                 )
-            except (OSError, TimeoutError, ProtocolError):
+            except OSError:
                 continue  # dead or wedged worker: scrape the survivors
         counters: dict[str, int] = {}
         for w in per:
@@ -1198,16 +1154,6 @@ def _parse_worker_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--host", default="127.0.0.1", help="listen host")
     parser.add_argument("--port", type=int, default=0, help="listen port (0 = any)")
     parser.add_argument("--max-batch", type=int, default=64, help="engine max batch")
-    parser.add_argument(
-        "--max-wait-us", type=float, default=0.0, help="engine batch window"
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=8192, help="engine admission queue depth"
-    )
-    parser.add_argument(
-        "--no-mmap", action="store_true",
-        help="load arrays into private heap memory instead of mmap",
-    )
     args = parser.parse_args(argv)
     if args.workers < 1 or not 0 <= args.shard < args.workers:
         parser.error(f"--shard must be in [0, --workers={args.workers})")
@@ -1219,9 +1165,9 @@ async def _serve_until_stopped(engine_view, preselect_view, args) -> None:
     engine = ServingEngine(
         engine_view,
         max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
+        max_wait_us=0.0,
         policy="shed",
-        queue_depth=args.queue_depth,
+        queue_depth=WORKER_QUEUE_DEPTH,
         # sample_rate=0: the worker never originates traces, but it
         # continues (and buffers spans for) traced frames from the
         # router, whose sampling decision rides the wire.
@@ -1281,7 +1227,7 @@ async def _serve_until_stopped(engine_view, preselect_view, args) -> None:
 def worker_main(argv: list[str] | None = None) -> int:
     """Worker process entry: load, shard, serve (see module docstring)."""
     args = _parse_worker_args(argv)
-    index = load_index_dir(args.index_dir, mmap=not args.no_mmap)
+    index = load_index_dir(args.index_dir, mmap=True)
     if args.workers > 1:
         shard = partition_index(index, args.workers)[args.shard]
     else:

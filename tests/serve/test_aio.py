@@ -360,6 +360,23 @@ class TestSocketServer:
 
         asyncio.run(go())
 
+    def test_close_after_server_drop_closes_the_socket(self):
+        """The reader loop marks the client closed when the server drops
+        the connection; close() must still close the transport."""
+
+        async def go():
+            engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
+            async with AsyncServingEngine(engine) as aeng:
+                server = await _free_server(aeng).start()
+                client = await AsyncClient.connect(*server.address)
+                await client.search(np.zeros(D, dtype=np.float32), K)
+                await server.stop()
+                await asyncio.wait_for(client._read_task, 10)  # saw EOF
+                await client.close()
+                return client._writer.is_closing()
+
+        assert asyncio.run(go())
+
     def test_address_requires_started_server(self):
         server = VectorSearchServer(ServingEngine(FakeBackend()))
         with pytest.raises(RuntimeError, match="not running"):

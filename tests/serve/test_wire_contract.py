@@ -2,10 +2,13 @@
 
 The asyncio reader (:func:`repro.serve.protocol.read_frame`) and the
 blocking :class:`~repro.serve.workers.RemoteBackend` reader must reject
-the same malformed streams.
+the same malformed streams; the error table must map an exception on the
+server to the same exception at :class:`~repro.serve.aio.AsyncClient`
+and at :class:`RemoteBackend`; and the module-level codec names the
+benchmark wraps to count frames must stay on the request path.
 
-Everything runs in-process: fake workers on a thread, no worker
-processes.
+Everything runs in-process: servers on a background event loop, fake
+workers on a thread, no worker processes.
 """
 
 import asyncio
@@ -17,6 +20,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro.serve.aio as aio
+import repro.serve.workers as workers
+from repro.ann.ivf import IVFPQIndex
+from repro.ann.partition import replicate_index
+from repro.data.synthetic import make_clustered
 from repro.net.wire import (
     FRAME_HEADER,
     FRAME_RESULT,
@@ -24,7 +32,15 @@ from repro.net.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
 )
-from repro.serve import RemoteBackend
+from repro.serve import (
+    AdmissionError,
+    AsyncClient,
+    QuotaExceededError,
+    RemoteBackend,
+    RemoteServeError,
+    ServingEngine,
+    VectorSearchServer,
+)
 from repro.serve.backends import BackendUnavailableError
 from repro.serve.protocol import ProtocolError, read_frame
 
@@ -130,3 +146,171 @@ class TestBothReadersRejectMalformedStreams:
         allowed = (ProtocolError, ConnectionResetError) if name in TRUNCATED else ProtocolError
         assert isinstance(cause, allowed), repr(cause)
         assert elapsed < 5.0
+
+
+# --------------------------------------------------------------------- #
+# In-process servers for the blocking client.
+
+
+@contextmanager
+def served(backend, preselect_backend=None):
+    """A started engine + server on a background event loop; yields the
+    server's address."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def run(coro):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result(30)
+
+    engine = ServingEngine(backend, max_batch=4, policy="shed").start()
+    server = run(
+        VectorSearchServer(engine, preselect_backend=preselect_backend).start()
+    )
+    try:
+        yield server.address
+    finally:
+        run(server.stop())
+        engine.stop()
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+
+
+class RaisingBackend:
+    """Answers with zeros, or raises ``exc`` from both scan entry points."""
+
+    def __init__(self):
+        self.exc: Exception | None = None
+
+    def _answer(self, nq: int, k: int):
+        if self.exc is not None:
+            raise self.exc
+        return np.zeros((nq, k), np.int64), np.zeros((nq, k), np.float32)
+
+    def search_batch(self, queries, k, nprobe=None):
+        return self._answer(np.atleast_2d(queries).shape[0], k)
+
+    def search_batch_preselected(self, queries_t, probed, k):
+        return self._answer(np.atleast_2d(queries_t).shape[0], k)
+
+
+#: Server-side exception → (client-side type, client-side message).
+ERROR_TABLE = [
+    (
+        QuotaExceededError("tenant over quota", retry_after_s=1.5),
+        QuotaExceededError,
+        "tenant over quota",
+    ),
+    (AdmissionError("queue full"), AdmissionError, "queue full"),
+    (ValueError("bad plan"), RemoteServeError, "ValueError: bad plan"),
+]
+
+
+def _check_mapped(exc: Exception, raised: Exception, want_type, want_msg) -> None:
+    assert type(exc) is want_type
+    assert str(exc) == want_msg
+    if isinstance(raised, QuotaExceededError):
+        assert exc.retry_after_s == 1.5
+
+
+@pytest.mark.parametrize(("raised", "want_type", "want_msg"), ERROR_TABLE)
+class TestErrorTable:
+    def test_through_async_client(self, raised, want_type, want_msg):
+        backend = RaisingBackend()
+        with served(backend) as (host, port):
+
+            async def go():
+                async with await AsyncClient.connect(host, port) as client:
+                    backend.exc = raised
+                    with pytest.raises(want_type) as info:
+                        await client.search(np.zeros(D, np.float32), K)
+                    backend.exc = None
+                    await client.search(np.zeros(D, np.float32), K)
+                return info.value
+
+            _check_mapped(asyncio.run(go()), raised, want_type, want_msg)
+
+    @pytest.mark.parametrize("call", ["search_batch", "search_batch_preselected"])
+    def test_through_remote_backend(self, raised, want_type, want_msg, call):
+        backend = RaisingBackend()
+        with served(backend, preselect_backend=backend) as (host, port):
+            remote = RemoteBackend(host, port)
+            backend.exc = raised
+            with pytest.raises(want_type) as info:
+                CALLS[call](remote)
+            _check_mapped(info.value, raised, want_type, want_msg)
+            # The failed call drained its replies: the next one answers.
+            backend.exc = None
+            ids, _ = CALLS[call](remote)
+            assert ids.shape == (1, K)
+            remote.close()
+
+
+@pytest.fixture(scope="module")
+def tiny_index():
+    vecs = make_clustered(560, D, n_clusters=8, seed=5)
+    index = IVFPQIndex(d=D, nlist=8, m=2, ksub=16, seed=0)
+    index.train(vecs[:500])
+    index.add(vecs[:500])
+    return index, vecs[500:]
+
+
+class TestPreselectAlignment:
+    def test_out_of_range_cell_then_next_call_succeeds(self, tiny_index):
+        index, queries = tiny_index
+        engine_view, scan_view, plan_view = replicate_index(index, 3)
+        queries_t, probed = plan_view.preselect(queries[:4], NPROBE)
+        bad = probed.copy()
+        bad[0, 0] = index.nlist  # one past the last cell
+        ref_ids, ref_dists = index.search(queries[:4], K, NPROBE)
+        with served(engine_view, preselect_backend=scan_view) as (host, port):
+            remote = RemoteBackend(host, port)
+            with pytest.raises(RemoteServeError, match="ValueError"):
+                remote.search_batch_preselected(queries_t, bad, K)
+            ids, dists = remote.search_batch_preselected(queries_t, probed, K)
+            remote.close()
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_array_equal(dists, ref_dists)
+
+
+class TestCodecHooks:
+    """The benchmark counts wire frames, and its smoke corrupts answers,
+    by replacing these four module globals; both clients must call them
+    by name from their own modules."""
+
+    HOOKS = [
+        (aio, "encode_search"),
+        (aio, "decode_result"),
+        (workers, "encode_preselect"),
+        (workers, "decode_batch_result"),
+    ]
+
+    def test_wrapped_codecs_see_the_traffic(self, tiny_index, monkeypatch):
+        index, queries = tiny_index
+        counts = {}
+        for module, name in self.HOOKS:
+            inner = getattr(module, name)
+            key = f"{module.__name__}.{name}"
+            counts[key] = 0
+
+            def counting(*args, _inner=inner, _key=key, **kwargs):
+                counts[_key] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        engine_view, scan_view, plan_view = replicate_index(index, 3)
+        queries_t, probed = plan_view.preselect(queries[:4], NPROBE)
+        with served(engine_view, preselect_backend=scan_view) as (host, port):
+
+            async def one_search():
+                async with await AsyncClient.connect(host, port) as client:
+                    return await client.search(queries[0], K, NPROBE)
+
+            res = asyncio.run(one_search())
+            remote = RemoteBackend(host, port)
+            remote.search_batch_preselected(queries_t, probed, K)
+            remote.close()
+        assert res.ids.shape == (K,)
+        assert all(n > 0 for n in counts.values()), counts

@@ -52,6 +52,7 @@ from repro.serve.protocol import (
     encode_search,
     encode_stats,
     encode_stats_request,
+    parse_header,
 )
 from repro.serve.qos import DEFAULT_TENANT
 
@@ -329,3 +330,31 @@ class TestDecoderFuzz:
             DECODERS[ftype](bytes(payload))
         except ProtocolError:
             pass
+
+
+class TestHeaderFuzz:
+    @settings(
+        deadline=None, max_examples=300,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        header=st.binary(min_size=8, max_size=8)
+        | st.builds(
+            FRAME_HEADER.pack,
+            st.sampled_from([WIRE_MAGIC, WIRE_MAGIC ^ 1]),
+            st.sampled_from([WIRE_VERSION, WIRE_VERSION + 1]),
+            st.integers(0, 255),
+            u32,
+        )
+    )
+    def test_any_header_parses_or_raises_protocol_error(self, header):
+        """The one header check both readers call: any 8 bytes yield
+        ``(type, length)`` or a ProtocolError — nothing else.  Built
+        draws mix valid and invalid magic/version, so the type and length
+        checks see traffic too."""
+        try:
+            ftype, length = parse_header(header)
+        except ProtocolError:
+            return
+        assert ftype in DECODERS
+        assert (ftype, length) == FRAME_HEADER.unpack(header)[2:]
