@@ -1,6 +1,7 @@
 """Tests for the benchmark drift report tool (tools/check_bench.py)."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,11 +88,20 @@ class TestFormatReport:
 
 
 class TestCommittedBaseline:
-    def test_reads_committed_version(self):
-        """The committed BENCH_serve.json parses through git show."""
-        path = REPO_ROOT / "BENCH_serve.json"
-        committed = check_bench.committed_json(path, "HEAD", REPO_ROOT)
-        assert committed is not None and "benchmark" in committed
+    def test_reads_committed_version(self, tmp_path):
+        """A committed BENCH file parses through git show, in a throwaway
+        repository so the test does not depend on this tree's own .git."""
+        path = tmp_path / "BENCH_x.json"
+        path.write_text(json.dumps({"benchmark": "x", "qps": 1.0}))
+        git = [
+            "git", "-C", str(tmp_path), "-c", "user.name=t",
+            "-c", "user.email=t@example.invalid", "-c", "commit.gpgsign=false",
+        ]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "add", path.name], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "bench"], check=True)
+        committed = check_bench.committed_json(path, "HEAD", tmp_path)
+        assert committed == {"benchmark": "x", "qps": 1.0}
 
     def test_uncommitted_file_has_no_baseline(self):
         ghost = REPO_ROOT / "BENCH_does_not_exist.json"
