@@ -11,6 +11,8 @@ Implements every algorithmic piece the paper depends on, in vectorized NumPy:
 - :mod:`repro.ann.invlists` — packed CSR inverted-list storage (contiguous
   code/id slabs, zero-copy sharding) — the layout the accelerator streams.
 - :mod:`repro.ann.ivf` — the IVF-PQ index (train / add / batched search).
+- :mod:`repro.ann.kernel` — the compiled fused PQDist + SelK scan (C via
+  ``ctypes``), bit-identical to the numpy stages it falls back to.
 - :mod:`repro.ann.partition` — zero-copy shard and replica views of one
   trained index (the multi-accelerator layout).
 - :mod:`repro.ann.merge` — exact top-K merge of partial results under the

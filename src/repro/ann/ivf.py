@@ -13,9 +13,12 @@ Storage is the packed CSR layout of :mod:`repro.ann.invlists` — one
 contiguous ``(N, m) uint8`` code array, one ``(N,) int64`` id array, per-cell
 offsets — the same contiguous-slab layout the paper's accelerator streams
 from HBM.  On top of it, :meth:`IVFPQIndex.search` runs a *batched* query
-engine: Stage BuildLUT / Stage PQDist / Stage SelK are evaluated across the
-whole query batch, grouping queries by probed cell so every cell slab is
-scanned with one vectorized ADC instead of a Python loop per query×cell.
+engine: Stage BuildLUT builds every table of a query block in one batched
+GEMM, then Stage PQDist and Stage SelK run fused in the compiled kernel of
+:mod:`repro.ann.kernel`, one call per block.  The numpy stages below
+(``stage_pq_dist`` / ``stage_select_k`` and their ``_batch`` loops) are the
+reference that kernel equals bit for bit, and the path used when it cannot
+be built.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ann import kernel
 from repro.ann.distances import l2_sq_blocked, topk_smallest
 from repro.ann.invlists import InvListBuilder, PackedInvLists
 from repro.ann.merge import merge_topk
@@ -33,11 +37,6 @@ from repro.ann.pq import ProductQuantizer
 from repro.obs.trace import current_span, now_us
 
 __all__ = ["IVFPQIndex", "IVFStats"]
-
-#: Cap (in gathered elements) for one vectorized ADC temporary: groups of
-#: queries probing the same cell are chunked so the (group, cell_size, m)
-#: gather stays within ~64 MB of float32.
-_ADC_CHUNK_ELEMS = 1 << 24
 
 #: Cap (in float32 elements) for one batch's LUT tensor: search() splits the
 #: query batch so the (queries, nprobe, m, ksub) tables stay within ~64 MB,
@@ -237,16 +236,23 @@ class IVFPQIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stage PQDist: ADC distances for all codes in the probed cells.
 
-        Returns (distances, ids) concatenated across the probed cells.
+        Returns (distances, ids) concatenated across the probed cells; a
+        ``-1`` cell is a pruned slot and contributes nothing.  Codes come
+        from index files, so a code byte ``>= ksub`` raises ``ValueError``
+        naming its cell instead of reading another sub-space's table.
         """
         _, pq = self._require_trained()
         lists = self.invlists
         dists: list[np.ndarray] = []
         ids: list[np.ndarray] = []
         for lut, cell in zip(luts, cells):
+            if cell < 0:
+                continue
             codes = lists.cell_codes(cell)
             if codes.shape[0] == 0:
                 continue
+            if self.ksub < 256 and codes.max() >= self.ksub:
+                raise kernel.out_of_range_code(int(cell), self.ksub)
             dists.append(pq.adc(lut, codes))
             ids.append(lists.cell_ids(cell))
         if not dists:
@@ -300,150 +306,39 @@ class IVFPQIndex:
     def stage_pq_dist_batch(
         self, luts: np.ndarray, probed: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stage PQDist for a batch, grouped by probed cell.
+        """Stage PQDist for a batch: :meth:`stage_pq_dist` per query.
 
-        Queries probing the same cell share one vectorized ADC over that
-        cell's contiguous code slab — the software analogue of the
-        accelerator streaming each slab once from HBM — instead of a Python
-        loop per query×cell.  Returns flat ``(dists, ids, bounds)`` where
-        ``bounds`` is an (nq+1,) prefix sum and query ``q``'s candidates
-        occupy ``[bounds[q], bounds[q+1])`` in probe order (identical
-        ordering to the per-query stages).
+        Returns flat ``(dists, ids, bounds)`` where ``bounds`` is an
+        (nq+1,) prefix sum and query ``q``'s candidates occupy
+        ``[bounds[q], bounds[q+1])`` in probe order.
         """
-        lists = self.invlists
-        nq, nprobe = probed.shape
-        sizes = lists.sizes
-        # ``-1`` entries are pruned slots (cells empty on this shard):
-        # they contribute zero candidates, so the flat gather below skips
-        # them through their zero pair count.
-        safe_cells = np.where(probed >= 0, probed, 0)
-        pair_sizes = np.where(probed >= 0, sizes[safe_cells], 0)  # (nq, nprobe)
-        bounds = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(pair_sizes.sum(axis=1), out=bounds[1:])
-        total = int(bounds[-1])
-        if total == 0:
+        per_query = [self.stage_pq_dist(lut, cells) for lut, cells in zip(luts, probed)]
+        bounds = np.zeros(len(per_query) + 1, dtype=np.int64)
+        np.cumsum([len(ids) for _, ids in per_query], out=bounds[1:])
+        if bounds[-1] == 0:
             return np.empty(0, dtype=np.float32), np.empty(0, dtype=np.int64), bounds
-        out_d = np.empty(total, dtype=np.float32)
-        counts = pair_sizes.ravel()
-        flat_cells = probed.ravel()
-        # Start of each (query, probe-slot) pair's candidate run in the flat
-        # query-major output (the global exclusive prefix sum of counts).
-        run_starts = np.cumsum(counts) - counts
-        # Candidate ids resolve with one flat gather over the packed array:
-        # candidate e of pair p is packed element starts[cell_p] + offset.
-        elem = (
-            np.repeat(lists.starts[safe_cells.ravel()] - run_starts, counts)
-            + np.arange(total)
-        )
-        out_i = np.asarray(lists.ids)[elem]
-        # Group (query, cell) pairs by cell: one vectorized ADC per slab.
-        order = np.argsort(flat_cells, kind="stable")
-        sorted_cells = flat_cells[order]
-        group_bounds = np.flatnonzero(
-            np.r_[True, sorted_cells[1:] != sorted_cells[:-1], True]
-        )
-        qs_all, slots_all = order // nprobe, order % nprobe
-        counts_sorted = counts[order]
-        cm_starts = np.cumsum(counts_sorted) - counts_sorted
-        d_cm = np.empty(total, dtype=np.float32)  # distances, cell-major
-        gather_per_cell = self._gather_table(lists)
-        gather_dtype = self._gather_dtype()
-        jj = np.arange(self.m)[None, :]
-        for g0, g1 in zip(group_bounds[:-1], group_bounds[1:]):
-            cell = int(sorted_cells[g0])
-            if cell < 0:
-                continue  # pruned slots: no candidates by construction
-            nc = int(sizes[cell])
-            if nc == 0:
-                continue
-            gather = gather_per_cell.get(cell)
-            if gather is None:
-                gather = self._gather_entry(lists, cell, jj, gather_dtype)
-                gather_per_cell[cell] = gather
-            c0 = cm_starts[g0]
-            chunk = max(1, _ADC_CHUNK_ELEMS // (nc * self.m))
-            for s in range(g0, g1, chunk):
-                e = min(s + chunk, g1)
-                lut_g = luts[qs_all[s:e], slots_all[s:e]]
-                flat = lut_g.reshape(lut_g.shape[0], self.m * self.ksub)
-                d_g = np.take(flat, gather, axis=1).reshape(-1, nc, self.m).sum(axis=2)
-                n_out = d_g.size
-                d_cm[c0 : c0 + n_out] = d_g.ravel()
-                c0 += n_out
-        # One global scatter from cell-major back to query-major probe order.
-        out_d[
-            np.repeat(run_starts[order] - cm_starts, counts_sorted) + np.arange(total)
-        ] = d_cm
-        return out_d, out_i, bounds
-
-    def _gather_table(self, lists) -> dict:
-        """The per-invlist-snapshot gather cache dict, (re)keyed to ``lists``.
-
-        Flattened per-cell gather indices into each (m, ksub) LUT, cached
-        per invlist snapshot: any add() flush produces a new
-        PackedInvLists object, which invalidates the cache.
-        """
-        cache = getattr(self, "_gather_cache", None)
-        if cache is None or cache[0] is not lists:
-            cache = (lists, {})
-            self._gather_cache = cache
-        return cache[1]
-
-    def _gather_dtype(self):
-        """Narrowest dtype that can address every ``m * ksub`` LUT entry,
-        so the cache stays within ~2x of the uint8 code store even when
-        every cell of a memory-mapped index has been probed."""
-        return np.uint16 if self.m * self.ksub <= 1 << 16 else np.int32
-
-    def _gather_entry(self, lists, cell: int, jj, gather_dtype) -> np.ndarray:
-        """One cell's flattened LUT-gather indices (``j*ksub + code``).
-
-        The **single** construction site for gather tables: the lazy path
-        in :meth:`stage_pq_dist_batch` and the eager
-        :meth:`warm_gather_cache` both call this, so warm and cold entries
-        are identical by construction.  ``np.take`` over these keeps the
-        gather C-contiguous, so the float32 reduction order matches
-        per-query ``pq.adc()`` bit for bit.
-        """
-        return (jj * self.ksub + lists.cell_codes(cell)).ravel().astype(gather_dtype)
+        dists = np.concatenate([d for d, _ in per_query])
+        ids = np.concatenate([i for _, i in per_query])
+        return dists, ids, bounds
 
     def warm_gather_cache(self, cells=None) -> int:
-        """Prime the per-cell ADC gather tables ahead of serving.
+        """Make this index ready to serve before traffic arrives.
 
-        :meth:`stage_pq_dist_batch` builds each probed cell's flattened
-        LUT-gather index lazily on first touch; a freshly-built replica
-        view (see :func:`repro.ann.partition.replicate_index`) therefore
-        pays that build cost on its first queries — N replicas cold-start
-        N times.  This primes the same cache eagerly through the shared
-        :meth:`_gather_entry` construction (search results and performance
-        are unchanged except the first-touch cost moving here).
-
-        Parameters
-        ----------
-        cells : iterable of cell ids to warm; default all non-empty cells.
-
-        Returns the number of gather tables built (already-warm or empty
-        cells are skipped).
+        Packs any buffered ``add()`` batches and loads the compiled scan
+        kernel (compiling it on a cold cache), so neither cost lands on the
+        first queries.  Returns how many of ``cells`` (default: all) hold
+        codes — the cells a search can scan.
         """
-        lists = self.invlists
-        gather_per_cell = self._gather_table(lists)
-        gather_dtype = self._gather_dtype()
-        jj = np.arange(self.m)[None, :]
-        sizes = lists.sizes
-        built = 0
-        cell_iter = range(len(sizes)) if cells is None else cells
-        for cell in cell_iter:
-            cell = int(cell)
-            if sizes[cell] == 0 or cell in gather_per_cell:
-                continue
-            gather_per_cell[cell] = self._gather_entry(lists, cell, jj, gather_dtype)
-            built += 1
-        return built
+        sizes = self.invlists.sizes
+        kernel.library()
+        picked = sizes if cells is None else sizes[np.asarray(list(cells), dtype=np.int64)]
+        return int((picked > 0).sum())
 
     def stage_select_k_batch(
         self, dists: np.ndarray, ids: np.ndarray, bounds: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stage SelK for a batch over the flat candidate layout."""
+        """Stage SelK for a batch over the flat candidate layout: the
+        reference :meth:`stage_select_k` once per query."""
         nq = len(bounds) - 1
         out_ids = np.empty((nq, k), dtype=np.int64)
         out_dists = np.empty((nq, k), dtype=np.float32)
@@ -533,19 +428,36 @@ class IVFPQIndex:
             t0 = now_us() if span else 0
             luts = self.stage_build_luts_batch(queries_t[s : s + block], sub)
             t1 = now_us() if span else 0
-            dists_f, ids_f, bounds = self.stage_pq_dist_batch(luts, sub)
-            t2 = now_us() if span else 0
-            out_ids[s : s + block], out_dists[s : s + block] = self.stage_select_k_batch(
-                dists_f, ids_f, bounds, k
+            out_ids[s : s + block], out_dists[s : s + block], n_codes = (
+                self.stage_scan_select(luts, sub, k)
             )
             if span:
+                t2 = now_us()
                 span.interval("ivf_build_lut", t0, t1)
-                span.interval(
-                    "ivf_pq_scan", t1, t2, args={"codes": int(bounds[-1])}
-                )
+                span.interval("ivf_pq_scan", t1, t2, args={"codes": n_codes})
+                # SelK runs inside the fused scan; the near-empty interval
+                # keeps the stage's row in per-layer tables.
                 span.interval("ivf_select_k", t2, now_us())
-            codes_scanned += int(bounds[-1])
+            codes_scanned += n_codes
         return out_ids, out_dists, codes_scanned
+
+    def stage_scan_select(
+        self, luts: np.ndarray, probed: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Stage PQDist + Stage SelK fused over one block of queries.
+
+        Runs the compiled kernel (:mod:`repro.ann.kernel`) when it is
+        loaded, else :meth:`stage_pq_dist_batch` + :meth:`stage_select_k_batch`;
+        both give the same bits.  Returns ``(ids (nq, k), dists (nq, k),
+        codes_scanned)``.
+        """
+        lists = self.invlists
+        fused = kernel.scan_select(luts, probed, lists, k)
+        if fused is not None:
+            return fused
+        dists, ids, bounds = self.stage_pq_dist_batch(luts, probed)
+        out_ids, out_dists = self.stage_select_k_batch(dists, ids, bounds, k)
+        return out_ids, out_dists, int(bounds[-1])
 
     def search_batch_preselected(
         self, queries_t: np.ndarray, probed: np.ndarray, k: int
@@ -592,8 +504,9 @@ class IVFPQIndex:
         Identical to :meth:`search`; ``nprobe`` is mandatory for a raw
         index (cluster/dynamic services bake it into their config).  The
         serving engine calls this from a single worker thread, which is
-        the supported concurrency model — search mutates per-index caches
-        (gather tables, stats), so concurrent searchers must wrap it.
+        the supported concurrency model — search mutates per-index state
+        (the packed lists on a pending-add flush, stats), so concurrent
+        searchers must wrap it.
         """
         if nprobe is None:
             raise ValueError("IVFPQIndex serving requires an explicit nprobe")

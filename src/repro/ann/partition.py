@@ -19,7 +19,7 @@ Two invariants make sharded scatter-gather exact (see
 
 :func:`replicate_index` is the throughput-scaling counterpart: views over
 the *same* data that share the packed storage but carry independent
-per-object mutable state (stats counters, gather caches), so concurrent
+per-object mutable state (stats counters, caches), so concurrent
 searcher threads never race on one object.
 """
 

@@ -17,7 +17,7 @@ batch across disjoint shards and merges partial top-K exactly
 (bit-identical to the unpartitioned index; degraded mode keeps serving
 from surviving shards with flagged partial coverage), and
 :func:`build_topology` assembles the full R×S grid from one trained index
-(``warm=True`` primes every replica view's gather cache).
+(``warm=True`` readies every leaf before traffic).
 
 Multi-tenant QoS lives in :mod:`repro.serve.qos`: per-tenant token-bucket
 admission quotas (:class:`TokenBucket` / :class:`TenantPolicy`), weighted

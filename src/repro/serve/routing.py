@@ -39,11 +39,10 @@ through the ``last_coverage()`` hook (the serving engine stamps it on the
 answers).  Availability degrades gracefully instead of failing the whole
 batch; a recovered shard resumes full coverage with no intervention.
 
-**Warm-up.**  Replica views carry independent ADC gather caches (see
-:func:`repro.ann.partition.replicate_index`), so a freshly-built R×S grid
-cold-starts R×S times.  :func:`warm_topology` walks any topology and
-primes every leaf index's gather tables up front;
-``build_topology(..., warm=True)`` does it at assembly time.
+**Warm-up.**  :func:`warm_topology` walks any topology and readies every
+leaf index up front (packs buffered adds, loads the compiled scan kernel),
+so no first query pays for either; ``build_topology(..., warm=True)`` does
+it at assembly time.
 """
 
 from __future__ import annotations
@@ -627,17 +626,15 @@ class ShardedBackend:
 
 
 def warm_topology(backend) -> int:
-    """Prime every leaf index's ADC gather cache in a serving topology.
+    """Ready every leaf index of a serving topology before traffic.
 
     Walks wrapper backends (``inner`` of instrumentation / simulated
     devices, ``replicas`` of a :class:`ReplicaSet`, ``shards`` of a
     :class:`ShardedBackend`) down to anything exposing
     ``warm_gather_cache`` (see
     :meth:`repro.ann.ivf.IVFPQIndex.warm_gather_cache`) and warms it.
-    Because replica views carry *independent* gather caches, an R×S grid
-    would otherwise cold-start R×S times on first traffic.  Returns the
-    total gather tables built; backends with no warmable leaves are a
-    no-op.
+    Returns the summed count of scannable (non-empty) cells over the
+    leaves; backends with no warmable leaves are a no-op.
     """
     warm = getattr(backend, "warm_gather_cache", None)
     if warm is not None:
@@ -678,8 +675,8 @@ def build_topology(
     ``parallel_scatter`` defaults to True exactly when ``wrap`` is set —
     wrapped leaves are assumed to block on modeled time that should
     overlap across shards.  ``warm=True`` runs :func:`warm_topology` on
-    the assembled grid so no replica view cold-starts its ADC gather
-    cache on first traffic.
+    the assembled grid so no first query pays for packing buffered adds
+    or loading the scan kernel.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")

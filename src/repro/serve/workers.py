@@ -1236,6 +1236,8 @@ def worker_main(argv: list[str] | None = None) -> int:
     # dispatcher thread and the preselect executor are separate
     # searchers, and IVFPQIndex is single-searcher per view.
     engine_view, preselect_view = replicate_index(shard, 2)
+    # Load the scan kernel before the handshake, so no request pays for it.
+    engine_view.warm_gather_cache()
     asyncio.run(_serve_until_stopped(engine_view, preselect_view, args))
     return 0
 

@@ -12,18 +12,28 @@ Ids and float32 distance *bits* must agree, tie order included.  Cases are
 built directly (random quantizers, no training) so geometry can be drawn
 freely: empty and ragged cells, k above the candidate count, forced ties,
 ``nprobe = nlist``, non-contiguous ids, pruned slots, shard views and an
-mmap'd index directory.
+mmap'd index directory.  Where a C compiler exists the production scan is
+the compiled kernel of :mod:`repro.ann.kernel`, so these cases are its
+bit-exactness contract.
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ann import kernel
 from repro.ann.invlists import PackedInvLists
 from repro.ann.io import load_index_dir, save_index_dir
 from repro.ann.ivf import IVFPQIndex
@@ -168,3 +178,97 @@ class TestDifferential:
             got = check_against_references(loaded, queries_t, probed, case.k)
             del loaded
         assert_bit_equal(got, want)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+class TestKernelTier:
+    @needs_cc
+    def test_compiled_path_is_in_use(self):
+        """With a compiler present the suite above exercises C, not numpy twice."""
+        assert kernel.ACTIVE == "c"
+
+    def test_missing_compiler_falls_back_to_reference(self, monkeypatch, tmp_path, caplog):
+        index, queries_t, probed = build(CORRUPTIBLE)
+        want = index.search_preselected(queries_t, probed, CORRUPTIBLE.k)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(kernel, "_COMPILER", str(tmp_path / "no-such-cc"))
+        kernel.library.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=kernel.__name__):
+                assert kernel.ACTIVE == "numpy"
+                got = index.search_preselected(queries_t, probed, CORRUPTIBLE.k)
+        finally:
+            kernel.library.cache_clear()
+        assert len(caplog.records) == 1
+        assert not list(tmp_path.rglob("*.so"))
+        assert_bit_equal(got, want)
+
+    @needs_cc
+    def test_rejects_m_above_numpy_flat_sum(self):
+        luts = np.zeros((1, 1, kernel.MAX_M + 8, 16), dtype=np.float32)
+        lists = PackedInvLists.empty(1, kernel.MAX_M + 8)
+        with pytest.raises(ValueError, match="m <= 128"):
+            kernel.scan_select(luts, np.zeros((1, 1), dtype=np.int64), lists, 1)
+
+    @needs_cc
+    def test_two_processes_share_one_build(self, tmp_path):
+        """Two processes loading into one empty cache both get the kernel,
+        and one shared object results (the lock plus rename at work)."""
+        env = {
+            **os.environ,
+            "XDG_CACHE_HOME": str(tmp_path),
+            "PYTHONPATH": str(Path(kernel.__file__).parents[2]),
+        }
+        script = "from repro.ann import kernel; assert kernel.ACTIVE == 'c'"
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script], env=env, stderr=subprocess.PIPE)
+            for _ in range(2)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+        built = sorted(p.name for p in (tmp_path / "repro-kernel").iterdir())
+        assert len([name for name in built if name.endswith(".so")]) == 1, built
+        assert not [name for name in built if name.startswith(".")], built
+
+
+#: A small case with ksub < 256, so a code byte can lie outside the tables.
+CORRUPTIBLE = Case(
+    m=4, ksub=16, sizes=(5, 0, 7, 3), nq=2, nprobe=4, k=5,
+    ties=False, residual=True, prune=False, seed=1,
+)
+
+
+class TestCorruptCodes:
+    """A code byte >= ksub in an index file raises one ValueError naming the
+    cell, on every scan path, instead of reading another sub-space's table."""
+
+    @pytest.fixture()
+    def corrupt(self, tmp_path):
+        index, queries_t, probed = build(CORRUPTIBLE)
+        save_index_dir(index, tmp_path)
+        codes = np.load(tmp_path / "codes.npy", mmap_mode="r+")
+        codes[5, 0] = CORRUPTIBLE.ksub  # first code of cell 2, sub-space 0
+        codes.flush()
+        del codes
+        return load_index_dir(tmp_path, mmap=True), queries_t, probed
+
+    def test_search(self, corrupt):
+        index, queries_t, _ = corrupt
+        with pytest.raises(ValueError, match="cell 2 "):
+            index.search(queries_t, CORRUPTIBLE.k, CORRUPTIBLE.nlist)
+
+    def test_numpy_reference(self, corrupt, monkeypatch):
+        index, queries_t, probed = corrupt
+        monkeypatch.setattr(kernel, "library", lambda: None)
+        with pytest.raises(ValueError, match="cell 2 "):
+            index.search_preselected(queries_t, probed, CORRUPTIBLE.k)
+
+    def test_per_query_stage(self, corrupt):
+        index, queries_t, probed = corrupt
+        luts = index.stage_build_luts_batch(queries_t, probed)
+        with pytest.raises(ValueError, match="cell 2 "):
+            for q in range(len(probed)):
+                index.stage_pq_dist(luts[q], probed[q])

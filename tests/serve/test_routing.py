@@ -416,19 +416,22 @@ class TestWarmup:
         np.testing.assert_array_equal(got_d, ref_d)
 
     def test_warm_is_idempotent_and_complete(self, tied_index):
+        """Warming packs buffered adds; a second warm changes nothing."""
         view = replicate_index(tied_index, 1)[0]
-        n_nonempty = int((view.invlists.sizes > 0).sum())
-        assert view.warm_gather_cache() == n_nonempty
-        assert view.warm_gather_cache() == 0  # everything already built
+        view.add(np.zeros((1, view.d), dtype=np.float32), ids=[10**6])
+        first = view.warm_gather_cache()
+        assert view._pending is None
+        assert first == int((view.invlists.sizes > 0).sum())
+        assert view.warm_gather_cache() == first
 
     def test_warm_subset_of_cells(self, tied_index):
         view = replicate_index(tied_index, 1)[0]
-        nonempty = np.flatnonzero(view.invlists.sizes > 0)[:3]
-        assert view.warm_gather_cache(cells=nonempty) == len(nonempty)
-        assert view.warm_gather_cache(cells=nonempty) == 0
+        sizes = view.invlists.sizes
+        cells = [*np.flatnonzero(sizes > 0)[:3], *np.flatnonzero(sizes == 0)[:2]]
+        assert view.warm_gather_cache(cells=cells) == int((sizes[cells] > 0).sum())
 
     def test_warm_topology_reaches_every_leaf(self, tied_index):
-        """R x S grid with wrapped leaves: all R*S gather caches prime."""
+        """R x S grid with wrapped leaves: every one of the R*S leaves warms."""
         topo = build_topology(
             tied_index, replicas=2, shards=2,
             wrap=lambda v: SimulatedDeviceBackend(v, 0.0),
@@ -439,11 +442,10 @@ class TestWarmup:
             for col in topo.shards
         ]
         assert built == 2 * sum(per_shard)  # 2 replicas of every shard
-        assert warm_topology(topo) == 0  # second pass: nothing left cold
+        assert warm_topology(topo) == built  # warming again is harmless
 
     def test_build_topology_warm_flag(self, tied_index, tied_queries):
         topo = build_topology(tied_index, replicas=2, shards=2, warm=True)
-        assert warm_topology(topo) == 0  # already primed at build time
         ref_i, _ = tied_index.search(tied_queries, 5, 4)
         got_i, _ = topo.search_batch(tied_queries, 5, 4)
         np.testing.assert_array_equal(got_i, ref_i)
