@@ -435,9 +435,9 @@ class IVFPQIndex:
                 t2 = now_us()
                 span.interval("ivf_build_lut", t0, t1)
                 span.interval("ivf_pq_scan", t1, t2, args={"codes": n_codes})
-                # SelK runs inside the fused scan; the near-empty interval
-                # keeps the stage's row in per-layer tables.
-                span.interval("ivf_select_k", t2, now_us())
+                # SelK runs inside the fused scan; the empty interval keeps
+                # the stage's row in per-layer tables.
+                span.interval("ivf_select_k", t2, t2)
             codes_scanned += n_codes
         return out_ids, out_dists, codes_scanned
 

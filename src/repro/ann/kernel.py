@@ -64,14 +64,13 @@ def out_of_range_code(cell: int, ksub: int) -> ValueError:
     return ValueError(f"cell {cell} holds a PQ code >= ksub={ksub}")
 
 
-def _cache_dirs() -> list[Path]:
+def _cache_dir() -> Path | None:
+    """The first writable of ``$XDG_CACHE_HOME`` (else ``~/.cache``) and the
+    temp directory, each with a ``repro-kernel`` subdirectory."""
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
-    return [base / "repro-kernel", Path(tempfile.gettempdir()) / f"repro-kernel-{os.getuid()}"]
-
-
-def _writable_dir() -> Path | None:
-    for path in _cache_dirs():
+    tmp = Path(tempfile.gettempdir()) / f"repro-kernel-{os.getuid()}"
+    for path in (base / "repro-kernel", tmp):
         try:
             path.mkdir(parents=True, exist_ok=True)
         except OSError:
@@ -115,14 +114,16 @@ def library() -> ctypes.CDLL | None:
     A failure logs one warning and leaves every search on the numpy
     reference stages, which give the same answers more slowly.
     """
-    directory = _writable_dir()
+    directory = _cache_dir()
     if directory is None:
         log.warning("no writable cache directory; using the numpy scan")
         return None
     try:
         lib = ctypes.CDLL(str(_build(directory, _SOURCE.read_bytes())))
     except subprocess.CalledProcessError as exc:
-        log.warning("kernel compile failed; using the numpy scan: %s", exc.stderr.decode().strip())
+        log.warning(
+            "kernel compile failed; using the numpy scan: %s", exc.stderr.decode().strip()
+        )
         return None
     except (OSError, subprocess.SubprocessError) as exc:
         log.warning("kernel unavailable; using the numpy scan: %s", exc)

@@ -88,10 +88,11 @@ class StagedSearcher:
         trace.seconds["SelCells"] += t3 - t2
         trace.workload["SelCells"] += nq * idx.nlist
 
-        # Fused batched tail: the three remaining stages run blockwise over
-        # the batch (grouped by probed cell, blocks bounded like search()),
-        # yet stay separately timed — the Figure 3 instrumentation the
-        # paper's bottleneck study needs.
+        # Batched tail: the three remaining stages run blockwise over the
+        # batch (blocks bounded like search()), each separately timed — the
+        # Figure 3 instrumentation the paper's bottleneck study needs.
+        # PQDist and SelK run as the numpy reference stages here; search()
+        # fuses them in the compiled kernel, which cannot time them apart.
         out_ids = np.empty((nq, k), dtype=np.int64)
         out_dists = np.empty((nq, k), dtype=np.float32)
         block = idx.lut_block_queries(nprobe)
