@@ -156,10 +156,7 @@ int64_t scan_select(
                 return -(cell + 1);
             const float *lut = luts + q * lut_q_stride + p * lut_p_stride;
             for (int64_t e = lo; e < end; e++) {
-                /* A literal m = 16 (the paper's code size) lets the
-                 * compiler unroll adc(); the order is the same. */
-                float d = m == 16 ? adc(lut, codes + e * m, 16, ksub)
-                                  : adc(lut, codes + e * m, m, ksub);
+                float d = adc(lut, codes + e * m, m, ksub);
                 int64_t id = ids[e];
                 if (n < k) {
                     hd[n] = d;
