@@ -449,7 +449,7 @@ class IVFPQIndex:
         Runs the compiled kernel (:mod:`repro.ann.kernel`) when it is
         loaded, else :meth:`stage_pq_dist_batch` + :meth:`stage_select_k_batch`;
         both give the same bits.  Returns ``(ids (nq, k), dists (nq, k),
-        codes_scanned)``.
+        codes_scanned)``; ``k <= 0`` raises ``ValueError`` on both.
         """
         lists = self.invlists
         fused = kernel.scan_select(luts, probed, lists, k)
@@ -483,7 +483,7 @@ class IVFPQIndex:
                 f"probed rows ({probed.shape[0]}) != queries rows "
                 f"({queries_t.shape[0]})"
             )
-        if probed.size == 0 or probed.max() >= self.nlist:
+        if probed.size == 0 or probed.min() < -1 or probed.max() >= self.nlist:
             raise ValueError(
                 f"probed cells must lie in [-1, nlist={self.nlist})"
             )

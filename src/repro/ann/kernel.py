@@ -10,7 +10,10 @@ flow) and as the path used when no compiler is available.
 The shared object is built on first use with the system ``cc`` into
 ``$XDG_CACHE_HOME/repro-kernel`` (else ``~/.cache/repro-kernel``, else a
 temp directory), under a name hashed from the source and the flags, so a
-stale build cannot be loaded.  A file lock and a rename make concurrent
+stale build cannot be loaded.  A directory is used only when it is a real
+directory owned by this user that no one else can write: the name of the
+shared object is predictable, so a shared directory would let another
+local user plant a library.  A file lock and a rename make concurrent
 first loads from several processes safe.  It is loaded with
 ``ctypes.CDLL``, which releases the interpreter lock for the call.
 
@@ -21,16 +24,21 @@ first loads from several processes safe.  It is loaded with
 from __future__ import annotations
 
 import ctypes
-import fcntl
 import functools
 import hashlib
 import logging
 import os
+import stat
 import subprocess
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: no build lock, so the numpy stages run
+    fcntl = None
 
 __all__ = ["MAX_M", "library", "out_of_range_code", "scan_select"]
 
@@ -64,18 +72,30 @@ def out_of_range_code(cell: int, ksub: int) -> ValueError:
     return ValueError(f"cell {cell} holds a PQ code >= ksub={ksub}")
 
 
+def _private_dir(path: Path) -> bool:
+    """``path`` is (or is now created as) a directory, not a symlink, owned
+    by this user, writable by no one else, and writable by this process."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return (
+        stat.S_ISDIR(st.st_mode)
+        and st.st_uid == os.getuid()
+        and not st.st_mode & 0o022
+        and os.access(path, os.W_OK | os.X_OK)
+    )
+
+
 def _cache_dir() -> Path | None:
-    """The first writable of ``$XDG_CACHE_HOME`` (else ``~/.cache``) and the
-    temp directory, each with a ``repro-kernel`` subdirectory."""
+    """The first private ``repro-kernel`` directory under ``$XDG_CACHE_HOME``
+    (else ``~/.cache``) and under the temp directory."""
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     tmp = Path(tempfile.gettempdir()) / f"repro-kernel-{os.getuid()}"
     for path in (base / "repro-kernel", tmp):
-        try:
-            path.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            continue
-        if os.access(path, os.W_OK | os.X_OK):
+        if _private_dir(path):
             return path
     return None
 
@@ -114,9 +134,12 @@ def library() -> ctypes.CDLL | None:
     A failure logs one warning and leaves every search on the numpy
     reference stages, which give the same answers more slowly.
     """
+    if fcntl is None:
+        log.warning("no fcntl on this platform; using the numpy scan")
+        return None
     directory = _cache_dir()
     if directory is None:
-        log.warning("no writable cache directory; using the numpy scan")
+        log.warning("no private writable cache directory; using the numpy scan")
         return None
     try:
         lib = ctypes.CDLL(str(_build(directory, _SOURCE.read_bytes())))
@@ -147,7 +170,10 @@ def scan_select(luts: np.ndarray, probed: np.ndarray, lists, k: int):
     ``(nq, nprobe)`` cells with ``-1`` for a pruned slot, ``lists`` the
     index's :class:`~repro.ann.invlists.PackedInvLists` (memmaps are read
     in place).  Returns ``(ids (nq, k), dists (nq, k), codes_scanned)``.
+    Raises ``ValueError`` for ``k <= 0`` on either path.
     """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
     lib = library()
     if lib is None:
         return None

@@ -134,9 +134,9 @@ class AcceleratorSimulator:
         queries = np.atleast_2d(queries)
         nq = queries.shape[0]
 
-        # Functional pass (identical arithmetic to the hardware dataflow),
-        # batched over the packed CSR invlists: one vectorized ADC per
-        # probed cell slab instead of a Python loop per query×cell.
+        # Functional pass (identical arithmetic to the hardware dataflow):
+        # IVFPQIndex.search_preselected, i.e. the compiled fused PQDist +
+        # SelK scan, with the numpy stages as fallback.
         queries_t = idx.stage_opq(queries)
         probed = idx.stage_select_cells(idx.stage_ivf_dist(queries_t), p.nprobe)
         ids, dists, _ = idx.search_preselected(queries_t, probed, p.k)

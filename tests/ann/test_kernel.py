@@ -189,11 +189,17 @@ class TestKernelTier:
         """With a compiler present the suite above exercises C, not numpy twice."""
         assert kernel.ACTIVE == "c"
 
-    def test_missing_compiler_falls_back_to_reference(self, monkeypatch, tmp_path, caplog):
+    @pytest.mark.parametrize("missing", ["compiler", "fcntl"])
+    def test_missing_compiler_falls_back_to_reference(
+        self, monkeypatch, tmp_path, caplog, missing
+    ):
         index, queries_t, probed = build(CORRUPTIBLE)
         want = index.search_preselected(queries_t, probed, CORRUPTIBLE.k)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(kernel, "_COMPILER", str(tmp_path / "no-such-cc"))
+        if missing == "compiler":
+            monkeypatch.setattr(kernel, "_COMPILER", str(tmp_path / "no-such-cc"))
+        else:  # a platform without fcntl (not POSIX)
+            monkeypatch.setattr(kernel, "fcntl", None)
         kernel.library.cache_clear()
         try:
             with caplog.at_level(logging.WARNING, logger=kernel.__name__):
@@ -211,6 +217,45 @@ class TestKernelTier:
         lists = PackedInvLists.empty(1, kernel.MAX_M + 8)
         with pytest.raises(ValueError, match="m <= 128"):
             kernel.scan_select(luts, np.zeros((1, 1), dtype=np.int64), lists, 1)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_rejects_non_positive_k(self, monkeypatch, compiled):
+        """k = 0 would make the C heap write into a zero-size row."""
+        if compiled and kernel.library() is None:
+            pytest.skip("no C compiler")
+        if not compiled:
+            monkeypatch.setattr(kernel, "library", lambda: None)
+        index, queries_t, probed = build(CORRUPTIBLE)
+        with pytest.raises(ValueError, match="k must be positive"):
+            index.search_preselected(queries_t, probed, 0)
+
+    @pytest.mark.parametrize("plant", ["shared", "symlink"])
+    def test_skips_cache_directories_others_can_write(self, monkeypatch, tmp_path, plant):
+        """The shared object's name is predictable, so a cache directory some
+        other user could write (or a symlink to one) is never used."""
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        shared.chmod(0o777)
+        xdg, tmp = tmp_path / "xdg", tmp_path / "tmp"
+        xdg.mkdir()
+        tmp.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        candidates = [xdg / "repro-kernel", tmp / f"repro-kernel-{os.getuid()}"]
+
+        def plant_at(path):
+            if plant == "symlink":
+                path.symlink_to(shared)
+            else:
+                path.mkdir()
+                path.chmod(0o777)
+
+        plant_at(candidates[0])
+        assert kernel._cache_dir() == candidates[1]
+        assert candidates[1].stat().st_mode & 0o777 == 0o700
+        candidates[1].rmdir()
+        plant_at(candidates[1])
+        assert kernel._cache_dir() is None
 
     @needs_cc
     def test_two_processes_share_one_build(self, tmp_path):

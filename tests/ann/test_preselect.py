@@ -88,10 +88,11 @@ class TestSearchBatchPreselected:
             trained_ivf.search_batch_preselected(queries_t, probed, 0)
         with pytest.raises(ValueError, match="rows"):
             trained_ivf.search_batch_preselected(queries_t, probed[:1], K)
-        with pytest.raises(ValueError, match="cell"):
+        for cell in (trained_ivf.nlist, -5):
             bad = probed.copy()
-            bad[0, 0] = trained_ivf.nlist
-            trained_ivf.search_batch_preselected(queries_t, bad, K)
+            bad[0, 0] = cell
+            with pytest.raises(ValueError, match="cell"):
+                trained_ivf.search_batch_preselected(queries_t, bad, K)
 
 
 class TestPreselectedScatter:
