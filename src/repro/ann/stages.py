@@ -88,11 +88,11 @@ class StagedSearcher:
         trace.seconds["SelCells"] += t3 - t2
         trace.workload["SelCells"] += nq * idx.nlist
 
-        # Batched tail: the three remaining stages run blockwise over the
-        # batch (blocks bounded like search()), each separately timed — the
-        # Figure 3 instrumentation the paper's bottleneck study needs.
-        # PQDist and SelK run as the numpy reference stages here; search()
-        # fuses them in the compiled kernel, which cannot time them apart.
+        # Batched tail: BuildLUT, then PQDist + SelK as the one fused call
+        # search() runs (blocks bounded like search()).  The fused scan
+        # cannot time its two stages apart, so its time is booked under
+        # PQDist and SelK's stays 0, as the tracer's empty ivf_select_k
+        # interval does; both workload counters still count the codes.
         out_ids = np.empty((nq, k), dtype=np.int64)
         out_dists = np.empty((nq, k), dtype=np.float32)
         block = idx.lut_block_queries(nprobe)
@@ -104,17 +104,12 @@ class StagedSearcher:
             trace.seconds["BuildLUT"] += tb - ta
             trace.workload["BuildLUT"] += sub.shape[0] * nprobe * idx.m * idx.ksub
 
-            dists_f, ids_f, bounds = idx.stage_pq_dist_batch(luts, sub)
-            tc = time.perf_counter()
-            trace.seconds["PQDist"] += tc - tb
-            n_codes = int(bounds[-1])
-            trace.workload["PQDist"] += n_codes
-
-            out_ids[s : s + block], out_dists[s : s + block] = idx.stage_select_k_batch(
-                dists_f, ids_f, bounds, k
+            out_ids[s : s + block], out_dists[s : s + block], n_codes = (
+                idx.stage_scan_select(luts, sub, k)
             )
             ta = time.perf_counter()
-            trace.seconds["SelK"] += ta - tc
+            trace.seconds["PQDist"] += ta - tb
+            trace.workload["PQDist"] += n_codes
             trace.workload["SelK"] += n_codes
 
         return out_ids, out_dists, trace

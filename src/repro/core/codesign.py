@@ -28,8 +28,8 @@ as the exemplar CDSE loop:
 The winner is emitted as a loadable topology spec
 (:class:`repro.serve.topology_spec.TopologySpec`) and — in the harness's
 validation mode — materialized through ``build_topology``/``serve_bench``
-so the modeled-vs-measured gap is continuously checked in CI
-(``tools/check_codesign.py``, ``BENCH_codesign.json``).
+so the modeled-vs-measured gap is checked in CI
+(``tools/check_codesign.py``).
 """
 
 from __future__ import annotations

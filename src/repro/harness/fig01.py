@@ -25,7 +25,7 @@ from repro.core.config import AlgorithmParams
 from repro.harness.context import ExperimentContext
 from repro.harness.formatting import format_table
 from repro.net.scaleout import simulate_cluster_latencies
-from repro.sim.accelerator import AcceleratorSimulator
+from repro.service.cluster import FPGAClusterService
 
 __all__ = ["Fig01Result", "partition_index", "run"]
 
@@ -65,23 +65,16 @@ def run(
 
     # FPGA cluster: the fitted with-network design replicated over shards.
     res = fanns.fit(ds, goal, with_network=True, max_queries=ctx.max_queries)
-    shards = partition_index(res.index, n_accelerators)
     reps = int(np.ceil(n_queries / ds.nq))
     queries = np.tile(ds.queries, (reps, 1))[:n_queries]
     interval = 1e6 / (res.prediction.qps * 0.5)
     arrivals = np.arange(n_queries) * interval
-    # Each shard holds 1/n of the data; scale its workload accordingly so
-    # every node simulates a full paper-scale partition.
-    per_node = []
-    for shard in shards:
-        sim = AcceleratorSimulator(
-            shard, res.config, workload_scale=fanns.workload_scale
-        )
-        out = sim.run_batch(queries, arrival_us=arrivals, overhead_us=0.0)
-        per_node.append(out.latencies_us)
-    fpga_cluster = simulate_cluster_latencies(
-        np.vstack(per_node), d=ds.d, k=goal.k
+    # Each shard holds 1/n of the data; workload_scale makes every node
+    # simulate a full paper-scale partition.
+    cluster = FPGAClusterService(
+        res.index, res.config, n_accelerators, workload_scale=fanns.workload_scale
     )
+    fpga_cluster = cluster.search(queries, arrival_us=arrivals).latencies_us
 
     # GPU cluster: aligned draws from the GPU latency model per node.
     rng = np.random.default_rng(seed)

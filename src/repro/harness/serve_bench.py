@@ -195,7 +195,6 @@ class ServeBenchResult(_IdentityVerdict):
     bit_identical: bool
     n_clients: int
     n_requests: int
-    params: dict = field(default_factory=dict)
 
     @property
     def baseline(self) -> ServeConfigRow:
@@ -340,11 +339,6 @@ def run(
         bit_identical=bit_identical,
         n_clients=n_clients,
         n_requests=n_requests,
-        params={
-            "n_base": N_BASE, "d": D, "nlist": NLIST, "m": M, "ksub": KSUB,
-            "k": k, "nprobe": nprobe, "max_batch": max_batch,
-            "windows_us": list(windows_us), "query_pool": N_QUERY_POOL,
-        },
     )
 
 
@@ -425,7 +419,6 @@ class ReplicatedServeResult(_IdentityVerdict):
     bit_identical: bool
     n_clients: int
     n_requests: int
-    params: dict = field(default_factory=dict)
 
     def row(self, replicas: int, shards: int) -> ReplicatedConfigRow:
         """The grid point measured at (``replicas``, ``shards``)."""
@@ -553,15 +546,6 @@ def run_replicated(
         bit_identical=bit_identical,
         n_clients=n_clients,
         n_requests=n_requests,
-        params={
-            "n_base": N_BASE, "d": D, "nlist": NLIST, "m": M, "ksub": KSUB,
-            "k": k, "nprobe": nprobe, "max_batch": max_batch,
-            "max_wait_us": max_wait_us, "policy": policy,
-            "replicas": list(replicas), "shards": list(shards),
-            "device_fill_us": DEVICE_FILL_US,
-            "device_per_query_us": DEVICE_PER_QUERY_US,
-            "device_hop_us": hop,
-        },
     )
 
 
@@ -635,7 +619,6 @@ class QosBenchResult(_IdentityVerdict):
     tenant_rows: list[QosTenantRow]
     window_rows: list[WindowRow]
     bit_identical: bool
-    params: dict = field(default_factory=dict)
 
     # -- noisy neighbor ------------------------------------------------ #
     def victim_p99(self, mode: str) -> float:
@@ -883,20 +866,6 @@ def run_qos(
         tenant_rows=tenant_rows,
         window_rows=window_rows,
         bit_identical=bit_identical,
-        params={
-            "n_base": N_BASE, "d": D, "nlist": NLIST, "m": M, "ksub": KSUB,
-            "k": k, "nprobe": nprobe,
-            "qos_fill_us": QOS_FILL_US, "qos_per_query_us": QOS_PER_QUERY_US,
-            "qos_max_batch": QOS_MAX_BATCH,
-            "capacity_qps": capacity,
-            "victims": victims, "victim_share": victim_share,
-            "aggressor_mult": aggressor_mult, "duration_s": duration_s,
-            "slo_us": slo_us, "max_wait_us": max_wait_us,
-            "window_fixed_us": window_fixed_us,
-            "low_rate_qps": low_rate_qps,
-            "high_utilization": high_utilization,
-            "aggressor_quota_qps": 0.5 * capacity,
-        },
     )
 
 
@@ -954,7 +923,6 @@ class AsyncServeResult(_IdentityVerdict):
     rows: list[AsyncConfigRow]
     bit_identical: bool
     requests_per_conn: int
-    params: dict = field(default_factory=dict)
 
     def row(self, frontend: str, connections: int) -> AsyncConfigRow:
         """The sweep point measured at (``frontend``, ``connections``)."""
@@ -1261,14 +1229,6 @@ def run_async(
         rows=rows,
         bit_identical=bit_identical,
         requests_per_conn=requests_per_conn,
-        params={
-            "n_base": N_BASE, "d": D, "nlist": NLIST, "m": M, "ksub": KSUB,
-            "k": k, "nprobe": nprobe, "max_batch": max_batch,
-            "max_wait_us": max_wait_us, "connections": list(connections),
-            "requests_per_conn": requests_per_conn, "thread_cap": thread_cap,
-            "async_fill_us": ASYNC_FILL_US,
-            "async_per_query_us": ASYNC_PER_QUERY_US,
-        },
     )
 
 
@@ -1339,7 +1299,6 @@ class MultiprocServeResult:
     n_clients: int
     n_requests: int
     host_cpus: int
-    params: dict = field(default_factory=dict)
 
     @property
     def checks(self) -> dict[str, bool]:
@@ -1524,13 +1483,6 @@ def run_multiproc(
         n_clients=n_clients,
         n_requests=n_requests,
         host_cpus=host_cpus(),
-        params={
-            "n_base": n_base, "d": d, "nlist": nlist, "m": m, "ksub": ksub,
-            "k": k, "nprobe": nprobe, "max_batch": max_batch,
-            "max_wait_us": max_wait_us, "workers": list(workers),
-            "n_clients": n_clients, "n_requests": n_requests,
-            "host_cpus": host_cpus(),
-        },
     )
 
 
@@ -1587,7 +1539,6 @@ class ChaosServeResult:
     #: Pids still running after ``pool.stop()`` — must be empty.
     leaked_pids: list[int]
     host_cpus: int
-    params: dict = field(default_factory=dict)
     #: Per-kill ``coverage_lost -> coverage_restored`` gap measured from
     #: the replica-scope event journal (microseconds, kill order).
     recovery_pairs_us: list = field(default_factory=list)
@@ -1918,14 +1869,6 @@ def run_chaos(
         recovery_pairs_us=recovery_pairs_us,
         alert_latency_us=alert_latency_us,
         journal_events=len(journal),
-        params={
-            "n_base": n_base, "d": d, "nlist": nlist, "m": m, "ksub": ksub,
-            "k": k, "nprobe": nprobe, "max_batch": max_batch,
-            "max_wait_us": max_wait_us, "replicas": replicas,
-            "shards": shards, "kills": kills, "n_clients": n_clients,
-            "n_requests": n_requests, "seed": seed,
-            "host_cpus": host_cpus(),
-        },
     )
     if timeline is not None and collector is not None:
         collector.dump_jsonl(timeline)

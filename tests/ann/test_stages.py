@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ann import kernel
 from repro.ann.ivf import IVFPQIndex
 from repro.ann.stages import STAGE_NAMES, SearchStageTrace, StagedSearcher
 
@@ -13,7 +14,7 @@ class TestStagedSearcher:
         ids_ref, dists_ref = trained_ivf.search(small_dataset.queries, 5, 4)
         ids, dists, trace = s.search(small_dataset.queries, 5, 4)
         np.testing.assert_array_equal(ids, ids_ref)
-        np.testing.assert_allclose(dists, dists_ref, rtol=1e-5)
+        np.testing.assert_array_equal(dists, dists_ref)
 
     def test_untrained_index_raises(self):
         with pytest.raises(ValueError, match="trained"):
@@ -34,6 +35,22 @@ class TestStagedSearcher:
         assert t8.workload["PQDist"] > t2.workload["PQDist"]
         # IVFDist workload depends only on nlist, not nprobe.
         assert t8.workload["IVFDist"] == t2.workload["IVFDist"]
+
+    def test_times_the_compiled_scan(self, trained_ivf, small_dataset, monkeypatch):
+        # PQDist + SelK run as the one fused call search() makes, not as
+        # the numpy reference stages.
+        if kernel.library() is None:
+            pytest.skip("compiled kernel not available")
+
+        def reference_stage(*args, **kwargs):
+            raise AssertionError("StagedSearcher ran the numpy reference scan")
+
+        monkeypatch.setattr(IVFPQIndex, "stage_pq_dist_batch", reference_stage)
+        monkeypatch.setattr(IVFPQIndex, "stage_select_k_batch", reference_stage)
+        _, _, trace = StagedSearcher(trained_ivf).search(small_dataset.queries, 5, 4)
+        assert trace.seconds["PQDist"] > 0
+        assert trace.seconds["SelK"] == 0.0
+        assert trace.workload["SelK"] == trace.workload["PQDist"] > 0
 
     def test_opq_workload_zero_without_opq(self, trained_ivf, small_dataset):
         s = StagedSearcher(trained_ivf)

@@ -207,7 +207,6 @@ FLAG_ARGV = {
 class _StubResult:
     def __init__(self, checks=None):
         self.checks = checks or {}
-        self.params = {}
 
     def format(self) -> str:
         return "stub result"

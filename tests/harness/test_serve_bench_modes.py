@@ -26,10 +26,14 @@ def test_replicated_mode():
 
 
 def test_async_mode():
-    res = serve_bench.run_async(connections=(4,), requests_per_conn=2)
+    # 64 connections is past the thread cap: only the async tier holds
+    # them, each request completed.
+    res = serve_bench.run_async(connections=(4, 64), requests_per_conn=2, thread_cap=4)
     assert res.checks == {"bit_identical": True}
     assert "async serve" in res.format()
     assert res.row("async", 4).report.n_completed == 8
+    assert res.row("threads", 64).report is None
+    assert res.max_async_connections() == 64
 
 
 def test_workers_mode():
@@ -39,6 +43,9 @@ def test_workers_mode():
     assert res.checks == {"bit_identical": True, "coarse_once": True}
     assert "multiproc serve" in res.format()
     assert res.row(2).report.n_completed == 40
+    for row in res.rows:
+        assert row.report.n_errors == 0
+        assert row.report.n_completed == row.report.n_issued
 
 
 def test_qos_mode():

@@ -66,6 +66,8 @@ class TestBitIdenticalWithTracing:
         np.testing.assert_array_equal(dists, ref_dists)
         if sample == 1.0:
             assert len(tracer) > 0
+        if sample == 0.0:
+            assert len(tracer) == 0
 
     @pytest.mark.parametrize("sample", [0.37, 1.0])
     def test_router_topology_path(self, corpus, sample):

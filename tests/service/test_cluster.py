@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.ann.partition import partition_index
 from repro.core.config import AcceleratorConfig, AlgorithmParams
+from repro.net.scaleout import simulate_cluster_latencies
 from repro.service.cluster import FPGAClusterService
+from repro.sim.accelerator import AcceleratorSimulator
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,26 @@ class TestClusterService:
         out = cluster.search(q)
         assert (out.latencies_us > 0).all()
         assert len(out.per_node_qps) == 4
+
+    def test_latencies_equal_per_shard_fan_out(self, cluster, trained_ivf, small_dataset):
+        """Figure 1's cluster latencies come from search(): one simulated
+        run per shard with the given arrivals, then the collective model."""
+        q = small_dataset.queries[:12]
+        arrivals = np.arange(len(q)) * 40.0
+        svc = FPGAClusterService(
+            trained_ivf, cluster.config, n_accelerators=8, workload_scale=3.0
+        )
+        per_node = [
+            AcceleratorSimulator(shard, cluster.config, workload_scale=3.0)
+            .run_batch(q, arrival_us=arrivals, overhead_us=0.0)
+            .latencies_us
+            for shard in partition_index(trained_ivf, 8)
+        ]
+        ref = simulate_cluster_latencies(
+            np.vstack(per_node), d=trained_ivf.d, k=cluster.config.params.k
+        )
+        out = svc.search(q, arrival_us=arrivals)
+        np.testing.assert_array_equal(out.latencies_us, ref)
 
     def test_percentiles(self, cluster, small_dataset):
         out = cluster.search(small_dataset.queries[:10])

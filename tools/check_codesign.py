@@ -29,8 +29,7 @@ Validated invariants:
   report's ``gap_bound`` field).
 
 Exit status is non-zero on any violation — a CI gate, like
-``check_timeline.py`` and unlike ``check_bench.py``'s warn-only drift
-report.
+``check_timeline.py``.
 """
 
 from __future__ import annotations

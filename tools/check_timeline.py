@@ -27,8 +27,7 @@ Validated invariants:
   one ``slo_alert`` whose timestamp falls inside a replica outage
   window (between a ``coverage_lost`` and its ``coverage_restored``).
 
-Exit status is non-zero on any violation — this is a CI gate, unlike
-``check_bench.py``'s warn-only drift report.
+Exit status is non-zero on any violation — this is a CI gate.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ Validated invariants:
   through the full multi-process stage chain
   (request -> exec -> scatter -> shard_rpc -> worker_scan -> merge).
 
-Exit status is non-zero on any violation — this is a CI gate, unlike
-``check_bench.py``'s warn-only drift report.
+Exit status is non-zero on any violation — this is a CI gate.
 """
 
 from __future__ import annotations
