@@ -34,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ann import kernel
+from repro.ann.distances import l2_sq
 from repro.ann.invlists import PackedInvLists
 from repro.ann.io import load_index_dir, save_index_dir
 from repro.ann.ivf import IVFPQIndex
@@ -62,14 +63,14 @@ class Case:
 
 
 @st.composite
-def cases(draw, max_cell=12):
+def cases(draw, max_cell=12, max_nq=4):
     nlist = draw(st.integers(1, 6))
     full_probe = draw(st.booleans())
     return Case(
         m=draw(st.sampled_from((4, 8, 12, 16))),
         ksub=draw(st.sampled_from((16, 64, 256))),
         sizes=tuple(draw(st.lists(st.integers(0, max_cell), min_size=nlist, max_size=nlist))),
-        nq=draw(st.integers(1, 4)),
+        nq=draw(st.integers(1, max_nq)),
         nprobe=nlist if full_probe else draw(st.integers(1, nlist)),
         k=draw(st.integers(1, 24)),
         ties=draw(st.booleans()),
@@ -178,6 +179,61 @@ class TestDifferential:
             got = check_against_references(loaded, queries_t, probed, case.k)
             del loaded
         assert_bit_equal(got, want)
+
+
+def assert_rows_independent(index, queries_t, probed, k):
+    """Each row of one batched scan equals that query scanned alone."""
+    batch = index.search_preselected(queries_t, probed, k)
+    for q in range(len(probed)):
+        ids, dists, _ = index.search_preselected(queries_t[q : q + 1], probed[q : q + 1], k)
+        np.testing.assert_array_equal(ids[0], batch[0][q])
+        np.testing.assert_array_equal(dists[0].view(np.uint32), batch[1][q].view(np.uint32))
+
+
+class TestBatchIndependence:
+    """A query's ids and distance bits do not depend on its batch-mates."""
+
+    @given(cases(max_nq=9))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_single_queries(self, case):
+        index, queries_t, probed = build(case)
+        assert_rows_independent(index, queries_t, probed, case.k)
+
+    @given(cases(max_nq=6), st.integers(2, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_shard_views(self, case, n_parts):
+        index, queries_t, probed = build(case)
+        for shard in partition_index(index, n_parts):
+            assert_rows_independent(shard, queries_t, probed, case.k)
+
+    @given(cases(max_nq=6))
+    @settings(max_examples=5, deadline=None)
+    def test_mmap_index_dir(self, case):
+        index, queries_t, probed = build(case)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index_dir(index, tmp)
+            loaded = load_index_dir(tmp, mmap=True)
+            assert_rows_independent(loaded, queries_t, probed, case.k)
+            del loaded
+
+
+class TestDistancesAreL2:
+    """Scan distances are the squared L2 distance to the decoded vector, so a
+    dropped or sign-flipped term of the distance fails, whatever the order
+    of float32 additions."""
+
+    @given(cases())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reconstruction(self, case):
+        index, queries_t, probed = build(case)
+        ids, dists, _ = index.search_preselected(queries_t, probed, case.k)
+        for q in range(len(probed)):
+            found = ids[q] >= 0
+            if not found.any():
+                continue
+            recon = index.reconstruct(ids[q][found]).astype(np.float64)
+            want = l2_sq(queries_t[q : q + 1].astype(np.float64), recon)[0]
+            np.testing.assert_allclose(dists[q][found], want, rtol=1e-3, atol=1e-4)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
