@@ -3,8 +3,11 @@
  *
  * The numpy stages in repro/ann/ivf.py are the reference; this function
  * must equal them bit for bit (ids and float32 distances, ties included).
- * Two things make that hold:
+ * Three things make that hold:
  *
+ *  - each (query, cell) pair table is built as IVFPQIndex.pair_tables
+ *    builds it: terms[cell][i] + qterms[q][i], then dis0 added to every
+ *    entry of sub-space 0's row, one float32 add at a time;
  *  - adc() adds a code's m table entries in exactly the order numpy's
  *    contiguous float32 row sum uses (pairwise_sum in numpy's loops, for
  *    m <= 128), and the build flags forbid contraction into FMAs and any
@@ -122,12 +125,14 @@ static int has_bad_code(const uint8_t *codes, int64_t lo, int64_t hi, int ksub)
 }
 
 /*
- * luts:    (nq, nprobe, m, ksub) float32; query q, slot p starts at
- *          luts + q * lut_q_stride + p * lut_p_stride (strides in floats,
- *          0 for a broadcast axis), each (m, ksub) table contiguous.
+ * terms:   (nlist, m, ksub) float32 term table; cell c's table starts at
+ *          terms + c * term_stride (in floats; 0 when every cell shares one).
+ * qterms:  (nq, m, ksub) float32 per-query tables, contiguous.
+ * dis0:    (nq, nprobe) float32 coarse term of each probed slot.
  * probed:  (nq, nprobe) int64 cell ids; a negative slot is pruned.
  * codes:   (N, m) uint8 row-major; ids: (N,) int64; starts/ends: per-cell
  *          [start, end) ranges into both.
+ * lut:     m * ksub floats of scratch for the pair table being scanned.
  * out_ids, out_dists: (nq, k), each row also serving as that query's heap.
  *
  * Returns the number of codes scanned, or -(cell + 1) for the first probed
@@ -135,26 +140,37 @@ static int has_bad_code(const uint8_t *codes, int64_t lo, int64_t hi, int ksub)
  * byte can exceed it).
  */
 int64_t scan_select(
-    const float *luts, int64_t lut_q_stride, int64_t lut_p_stride,
+    const float *terms, int64_t term_stride,
+    const float *qterms, const float *dis0,
     const int64_t *probed, int64_t nq, int64_t nprobe,
     const uint8_t *codes, const int64_t *ids,
     const int64_t *starts, const int64_t *ends,
     int m, int ksub, int64_t k,
+    float *restrict lut,
     int64_t *out_ids, float *out_dists)
 {
+    const int64_t mk = (int64_t)m * ksub;
     int64_t scanned = 0;
     for (int64_t q = 0; q < nq; q++) {
         float *hd = out_dists + q * k;
         int64_t *hi = out_ids + q * k;
+        const float *restrict qt = qterms + q * mk;
         int64_t n = 0;
         for (int64_t p = 0; p < nprobe; p++) {
             int64_t cell = probed[q * nprobe + p];
             if (cell < 0)
                 continue;
             int64_t lo = starts[cell], end = ends[cell];
+            if (lo == end)
+                continue;
             if (ksub < 256 && has_bad_code(codes, lo * m, end * m, ksub))
                 return -(cell + 1);
-            const float *lut = luts + q * lut_q_stride + p * lut_p_stride;
+            const float *restrict t = terms + cell * term_stride;
+            for (int64_t i = 0; i < mk; i++)
+                lut[i] = t[i] + qt[i];
+            const float d0 = dis0[q * nprobe + p];
+            for (int c = 0; c < ksub; c++)
+                lut[c] += d0;
             for (int64_t e = lo; e < end; e++) {
                 float d = adc(lut, codes + e * m, m, ksub);
                 int64_t id = ids[e];

@@ -13,12 +13,22 @@ Storage is the packed CSR layout of :mod:`repro.ann.invlists` — one
 contiguous ``(N, m) uint8`` code array, one ``(N,) int64`` id array, per-cell
 offsets — the same contiguous-slab layout the paper's accelerator streams
 from HBM.  On top of it, :meth:`IVFPQIndex.search` runs a *batched* query
-engine: Stage BuildLUT builds every table of a query block in one batched
-GEMM, then Stage PQDist and Stage SelK run fused in the compiled kernel of
-:mod:`repro.ann.kernel`, one call per block.  The numpy stages below
-(``stage_pq_dist`` / ``stage_select_k`` and their ``_batch`` loops) are the
-reference that kernel equals bit for bit, and the path used when it cannot
-be built.
+engine on the IVFADC distance split (Jégou, Douze & Schmid 2011; Johnson,
+Douze & Jégou 2017, §5.2) of a query ``q``, a cell centroid ``c`` and a
+PQ-coded residual ``r``::
+
+    |q - c - r|^2 = |q - c|^2 + (|r|^2 + 2<c, r>) - 2<q, r>
+
+The middle term depends on the index alone and is precomputed once
+(:meth:`IVFPQIndex.term_table`).  Stage BuildLUT computes the rest: one
+``-2<q, r>`` table per query plus ``|q - c|^2`` per probed cell, where the
+paper's BuildLUT PEs build ``nprobe`` full tables per query.  Stage PQDist
+and Stage SelK run fused in the compiled kernel of :mod:`repro.ann.kernel`,
+one call per block, which adds those terms into each (query, cell) pair
+table itself.  The numpy stages below (``stage_build_luts*`` materialise
+the same pair tables; ``stage_pq_dist`` / ``stage_select_k`` and their
+``_batch`` loops scan them) are the reference that kernel equals bit for
+bit, and the path used when it cannot be built.
 """
 
 from __future__ import annotations
@@ -38,9 +48,10 @@ from repro.obs.trace import current_span, now_us
 
 __all__ = ["IVFPQIndex", "IVFStats"]
 
-#: Cap (in float32 elements) for one batch's LUT tensor: search() splits the
-#: query batch so the (queries, nprobe, m, ksub) tables stay within ~64 MB,
-#: instead of materializing every table for an arbitrarily large batch.
+#: Cap (in float32 elements) for one block's pair tables: search() splits the
+#: query batch so the numpy reference's (queries, nprobe, m, ksub) tables stay
+#: within ~64 MB, instead of materializing every table for an arbitrarily
+#: large batch.
 _LUT_BATCH_ELEMS = 1 << 24
 
 
@@ -92,6 +103,8 @@ class IVFPQIndex:
     _invlists: PackedInvLists | None = field(default=None, repr=False)
     _pending: InvListBuilder | None = field(default=None, repr=False)
     stats: IVFStats = field(default_factory=IVFStats, repr=False)
+    #: ``(centroids, codebooks, table)`` behind :meth:`term_table`.
+    _terms: tuple | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     @property
@@ -217,19 +230,76 @@ class IVFPQIndex:
         idx, _ = topk_smallest(cell_dists, nprobe, axis=1)
         return idx
 
-    def stage_build_luts(self, query_t: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Stage BuildLUT: one (m, ksub) table per probed cell for one query.
+    def term_table(self) -> np.ndarray:
+        """The precomputed IVFADC term ``|r_jk|^2 + 2<c_j, r_jk>``.
 
-        With residual encoding the table depends on the cell centroid, so
-        ``nprobe`` tables are built per query — exactly the per-cell workload
-        of the paper's Stage BuildLUT PEs.
+        An ``(nlist, m, ksub)`` float32 array: ``nlist * m * ksub * 4``
+        bytes, built once per trained index and rebuilt lazily whenever the
+        centroid or codebook array is replaced (``train()``, loading an
+        index).  Without residual encoding ``c = 0``: the table is one
+        ``(m, ksub)`` array of ``|r_jk|^2`` broadcast over cells (stride 0).
+        Shards and replicas made after the first build share it.
         """
         centroids, pq = self._require_trained()
+        cached = self._terms
+        if cached is None or cached[0] is not centroids or cached[1] is not pq.codebooks:
+            norms = pq.code_norms()
+            if self.by_residual:
+                table = pq.cross_terms(centroids)  # -2<c_j, r_jk>
+                np.subtract(norms, table, out=table)
+            else:
+                table = np.broadcast_to(norms, (self.nlist, self.m, self.ksub))
+            cached = (centroids, pq.codebooks, table)
+            self._terms = cached
+        return cached[2]
+
+    def stage_query_terms(
+        self, queries_t: np.ndarray, probed: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stage BuildLUT for a block: the per-query terms of the split.
+
+        Returns ``(qterms, dis0)``: ``qterms`` is ``-2<q_j, r_jk>``, one
+        ``(m, ksub)`` table per query (:meth:`ProductQuantizer.cross_terms`),
+        and ``dis0`` the ``(nq, nprobe)`` coarse term ``|q - c|^2`` of each
+        probed slot (``|q|^2`` without residual encoding).  ``dis0`` is a
+        contiguous row sum over ``d``, so each entry, like each ``qterms``
+        entry, depends on its own operands only: neither changes with the
+        block size.  A ``-1`` (pruned) slot gets a value that is never read.
+        """
+        centroids, pq = self._require_trained()
+        qterms = pq.cross_terms(queries_t)
         if self.by_residual:
-            residuals = query_t[None, :] - centroids[cells]
-            return pq.build_luts(residuals)
-        lut = pq.build_lut(query_t)
-        return np.broadcast_to(lut, (len(cells),) + lut.shape)
+            diff = queries_t[:, None, :] - centroids[np.maximum(probed, 0)]
+            dis0 = np.square(diff, out=diff).sum(axis=-1)
+        else:
+            q_sq = np.square(queries_t).sum(axis=-1)
+            dis0 = np.broadcast_to(q_sq[:, None], probed.shape)
+        return qterms, dis0
+
+    def pair_tables(
+        self, qterms: np.ndarray, dis0: np.ndarray, probed: np.ndarray
+    ) -> np.ndarray:
+        """The (nq, nprobe, m, ksub) pair tables the compiled scan builds.
+
+        Entry by entry, with the same two float32 adds in the same order:
+        ``term_table()[cell] + qterms[q]``, then ``dis0[q, p]`` added to
+        the row of sub-space 0, so the ADC row sum of a code is its whole
+        distance.  A pruned slot gets cell 0's table, never scanned.
+        """
+        luts = self.term_table()[np.maximum(probed, 0)] + qterms[:, None]
+        luts[:, :, 0, :] += dis0[:, :, None]
+        return luts
+
+    def stage_build_luts(self, query_t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Stage BuildLUT materialised: one (m, ksub) table per probed cell
+        for one query, equal bit for bit to the batched tables.
+
+        The search path never builds these (:meth:`stage_query_terms`); they
+        are the reference the per-query stages scan.  A hardware BuildLUT PE
+        builds this per-cell workload; the software does not.
+        """
+        query_t = np.atleast_2d(np.asarray(query_t, dtype=np.float32))
+        return self.stage_build_luts_batch(query_t, np.atleast_2d(cells))[0]
 
     def stage_pq_dist(
         self, luts: np.ndarray, cells: np.ndarray
@@ -285,23 +355,9 @@ class IVFPQIndex:
     def stage_build_luts_batch(
         self, queries_t: np.ndarray, probed: np.ndarray
     ) -> np.ndarray:
-        """Stage BuildLUT for a batch: (nq, nprobe, m, ksub) tables.
-
-        Without residual encoding the per-cell axis is a broadcast view (one
-        table per query), so no memory is spent on the nprobe dimension.
-        """
-        centroids, pq = self._require_trained()
-        nq, nprobe = probed.shape
-        if self.by_residual:
-            # -1-padded slots (cells pruned for this shard) still get a
-            # table built against centroid 0 — it is never consumed, the
-            # padded pair scans zero codes — but must not index negative.
-            cells = np.maximum(probed, 0)
-            residuals = queries_t[:, None, :] - centroids[cells]  # (nq, nprobe, d)
-            luts = pq.build_luts(residuals.reshape(nq * nprobe, self.d))
-            return luts.reshape(nq, nprobe, self.m, self.ksub)
-        luts = pq.build_luts(queries_t)  # (nq, m, ksub)
-        return np.broadcast_to(luts[:, None], (nq, nprobe, self.m, self.ksub))
+        """Stage BuildLUT materialised for a batch: (nq, nprobe, m, ksub)
+        :meth:`pair_tables`, the numpy reference's input."""
+        return self.pair_tables(*self.stage_query_terms(queries_t, probed), probed)
 
     def stage_pq_dist_batch(
         self, luts: np.ndarray, probed: np.ndarray
@@ -324,12 +380,13 @@ class IVFPQIndex:
     def warm_gather_cache(self, cells=None) -> int:
         """Make this index ready to serve before traffic arrives.
 
-        Packs any buffered ``add()`` batches and loads the compiled scan
-        kernel (compiling it on a cold cache), so neither cost lands on the
-        first queries.  Returns how many of ``cells`` (default: all) hold
+        Packs any buffered ``add()`` batches, builds the term table and
+        loads the compiled scan kernel (compiling it on a cold cache), so
+        none of these costs lands on the first queries.  Returns how many of ``cells`` (default: all) hold
         codes — the cells a search can scan.
         """
         sizes = self.invlists.sizes
+        self.term_table()
         kernel.library()
         picked = sizes if cells is None else sizes[np.asarray(list(cells), dtype=np.int64)]
         return int((picked > 0).sum())
@@ -353,9 +410,8 @@ class IVFPQIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Full six-stage batched search.  Returns (ids (q, k), distances (q, k)).
 
-        Large batches are processed in blocks sized so the per-block LUT
-        tensor stays bounded (:data:`_LUT_BATCH_ELEMS`); results are
-        independent per query, so blocking never changes them.
+        Large batches are processed in blocks (:meth:`lut_block_queries`);
+        results are independent per query, so blocking never changes them.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -400,8 +456,9 @@ class IVFPQIndex:
         return queries_t, probed
 
     def lut_block_queries(self, nprobe: int) -> int:
-        """Queries per block such that one block's LUT tensor stays bounded
-        (:data:`_LUT_BATCH_ELEMS`) — shared by every batched engine caller."""
+        """Queries per block such that one block's reference pair tables stay
+        bounded (:data:`_LUT_BATCH_ELEMS`) — shared by every batched engine
+        caller."""
         return max(1, _LUT_BATCH_ELEMS // (nprobe * self.m * self.ksub))
 
     def search_preselected(
@@ -409,9 +466,9 @@ class IVFPQIndex:
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Fused BuildLUT + PQDist + SelK over precomputed probed cells.
 
-        The batch is processed in blocks sized so the per-block LUT tensor
-        stays bounded (:data:`_LUT_BATCH_ELEMS`); results are independent
-        per query, so blocking never changes them.  Returns
+        The batch is processed in blocks (:meth:`lut_block_queries`);
+        results are independent per query, so blocking never changes them.
+        Returns
         ``(ids (q, k), dists (q, k), codes_scanned)``; stats are left to
         the caller.
         """
@@ -420,16 +477,17 @@ class IVFPQIndex:
         out_ids = np.empty((nq, k), dtype=np.int64)
         out_dists = np.empty((nq, k), dtype=np.float32)
         codes_scanned = 0
+        self.term_table()  # built before the timers, once per index
         # Per-block stage timers hang off the caller's active span (NOOP
         # when untraced: one falsy check per block, no timestamping).
         span = current_span()
         for s in range(0, nq, block):
             sub = probed[s : s + block]
             t0 = now_us() if span else 0
-            luts = self.stage_build_luts_batch(queries_t[s : s + block], sub)
+            qterms, dis0 = self.stage_query_terms(queries_t[s : s + block], sub)
             t1 = now_us() if span else 0
             out_ids[s : s + block], out_dists[s : s + block], n_codes = (
-                self.stage_scan_select(luts, sub, k)
+                self.stage_scan_select(qterms, dis0, sub, k)
             )
             if span:
                 t2 = now_us()
@@ -442,19 +500,22 @@ class IVFPQIndex:
         return out_ids, out_dists, codes_scanned
 
     def stage_scan_select(
-        self, luts: np.ndarray, probed: np.ndarray, k: int
+        self, qterms: np.ndarray, dis0: np.ndarray, probed: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Stage PQDist + Stage SelK fused over one block of queries.
 
-        Runs the compiled kernel (:mod:`repro.ann.kernel`) when it is
-        loaded, else :meth:`stage_pq_dist_batch` + :meth:`stage_select_k_batch`;
-        both give the same bits.  Returns ``(ids (nq, k), dists (nq, k),
+        Takes :meth:`stage_query_terms`' output.  Runs the compiled kernel
+        (:mod:`repro.ann.kernel`), which builds each pair table in one
+        scratch buffer, when it is loaded; else :meth:`pair_tables` +
+        :meth:`stage_pq_dist_batch` + :meth:`stage_select_k_batch`.  Both
+        give the same bits.  Returns ``(ids (nq, k), dists (nq, k),
         codes_scanned)``; ``k <= 0`` raises ``ValueError`` on both.
         """
         lists = self.invlists
-        fused = kernel.scan_select(luts, probed, lists, k)
+        fused = kernel.scan_select(self.term_table(), qterms, dis0, probed, lists, k)
         if fused is not None:
             return fused
+        luts = self.pair_tables(qterms, dis0, probed)
         dists, ids, bounds = self.stage_pq_dist_batch(luts, probed)
         out_ids, out_dists = self.stage_select_k_batch(dists, ids, bounds, k)
         return out_ids, out_dists, int(bounds[-1])

@@ -1,9 +1,12 @@
 """Compiled kernel tier: fused Stage PQDist + Stage SelK in C.
 
-:func:`scan_select` runs ``_kernel.c`` over one block of queries: it sums
-each candidate code's ADC distance in numpy's exact float32 order and keeps
-one bounded (distance, id) max-heap per query, so its answers equal the
-numpy stages of :class:`repro.ann.ivf.IVFPQIndex` bit for bit.  The numpy
+:func:`scan_select` runs ``_kernel.c`` over one block of queries.  For each
+probed (query, cell) pair it adds the index's term table and the query's
+terms into one scratch ADC table (:meth:`repro.ann.ivf.IVFPQIndex.
+pair_tables`, entry by entry), sums each candidate code's distance in
+numpy's exact float32 order and keeps one bounded (distance, id) max-heap
+per query, so its answers equal the numpy stages of
+:class:`repro.ann.ivf.IVFPQIndex` bit for bit.  The numpy
 stages stay as the reference (the C-model-versus-design check of an HLS
 flow) and as the path used when no compiler is available.
 
@@ -59,10 +62,12 @@ MAX_M = 128
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _ARGTYPES = [
-    _P, _I64, _I64,  # luts, lut_q_stride, lut_p_stride
+    _P, _I64,  # terms, term_stride
+    _P, _P,  # qterms, dis0
     _P, _I64, _I64,  # probed, nq, nprobe
     _P, _P, _P, _P,  # codes, ids, starts, ends
     ctypes.c_int, ctypes.c_int, _I64,  # m, ksub, k
+    _P,  # lut scratch
     _P, _P,  # out_ids, out_dists
 ]
 
@@ -162,29 +167,39 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def scan_select(luts: np.ndarray, probed: np.ndarray, lists, k: int):
+def scan_select(terms, qterms, dis0, probed, lists, k: int):
     """Fused PQDist + SelK over one block; None when the kernel is absent.
 
-    ``luts`` is the block's ``(nq, nprobe, m, ksub)`` float32 tables (a
-    broadcast nprobe axis is passed by stride, not copied), ``probed`` its
-    ``(nq, nprobe)`` cells with ``-1`` for a pruned slot, ``lists`` the
-    index's :class:`~repro.ann.invlists.PackedInvLists` (memmaps are read
-    in place).  Returns ``(ids (nq, k), dists (nq, k), codes_scanned)``.
-    Raises ``ValueError`` for ``k <= 0`` on either path.
+    ``terms`` is the index's ``(nlist, m, ksub)`` float32 term table (a
+    broadcast cell axis is passed by stride, not copied), ``qterms`` and
+    ``dis0`` the block's ``(nq, m, ksub)`` and ``(nq, nprobe)`` query
+    terms, ``probed`` its ``(nq, nprobe)`` cells with ``-1`` for a pruned
+    slot, ``lists`` the index's :class:`~repro.ann.invlists.PackedInvLists`
+    (memmaps are read in place).  Returns ``(ids (nq, k), dists (nq, k),
+    codes_scanned)``.  Raises ``ValueError`` for ``k <= 0`` on either path.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     lib = library()
     if lib is None:
         return None
-    nq, nprobe, m, ksub = luts.shape
+    qterms = np.ascontiguousarray(qterms, dtype=np.float32)
+    nq, m, ksub = qterms.shape
     if m > MAX_M:
         raise ValueError(f"the compiled scan takes m <= {MAX_M}, got m={m}")
-    if luts.dtype != np.float32 or luts.strides[2:] != (ksub * 4, 4):
-        raise ValueError("luts must be float32 with contiguous (m, ksub) tables")
+    if (
+        terms.dtype != np.float32
+        or terms.shape != (lists.nlist, m, ksub)
+        or terms.strides[1:] != (ksub * 4, 4)
+    ):
+        raise ValueError("terms must be float32 (nlist, m, ksub) with contiguous tables")
     probed = np.ascontiguousarray(probed, dtype=np.int64)
-    if probed.shape != (nq, nprobe):
-        raise ValueError(f"probed shape {probed.shape} != {(nq, nprobe)}")
+    nprobe = probed.shape[1]
+    dis0 = np.ascontiguousarray(dis0, dtype=np.float32)
+    if probed.shape[0] != nq or dis0.shape != probed.shape:
+        raise ValueError(
+            f"probed {probed.shape} and dis0 {dis0.shape} must both be ({nq}, nprobe)"
+        )
     if probed.size and probed.max() >= lists.nlist:
         raise ValueError(f"probed cells must lie in [-1, nlist={lists.nlist})")
     # No copy for the packed layouts (in memory or memmap'd): both are
@@ -195,13 +210,16 @@ def scan_select(luts: np.ndarray, probed: np.ndarray, lists, k: int):
         raise ValueError(f"codes have {codes.shape[1:]} columns, tables m={m}")
     starts = np.ascontiguousarray(lists.starts, dtype=np.int64)
     ends = np.ascontiguousarray(lists.ends, dtype=np.int64)
+    lut = np.empty(m * ksub, dtype=np.float32)
     out_ids = np.empty((nq, k), dtype=np.int64)
     out_dists = np.empty((nq, k), dtype=np.float32)
     scanned = lib.scan_select(
-        luts.ctypes.data, luts.strides[0] // 4, luts.strides[1] // 4,
+        terms.ctypes.data, terms.strides[0] // 4,
+        qterms.ctypes.data, dis0.ctypes.data,
         probed.ctypes.data, nq, nprobe,
         codes.ctypes.data, ids.ctypes.data, starts.ctypes.data, ends.ctypes.data,
         m, ksub, k,
+        lut.ctypes.data,
         out_ids.ctypes.data, out_dists.ctypes.data,
     )
     if scanned < 0:

@@ -111,46 +111,57 @@ class ProductQuantizer:
 
         ``lut[j, c]`` = squared L2 distance between query sub-vector j and
         centroid c of sub-quantizer j.  Delegates to :meth:`build_luts` so
-        single-query and batched tables are computed identically.
+        single-query and batched tables share one formula.
         """
         q = np.asarray(query, dtype=np.float32).reshape(1, self.d)
         return self.build_luts(q)[0]
-
-    #: Fixed GEMM row-chunk for build_luts.  Every cross-term matmul runs at
-    #: exactly this many rows (the tail is zero-padded), so BLAS always takes
-    #: the same kernel path and a table row's bits never depend on how many
-    #: queries were batched together (single-row calls would otherwise hit a
-    #: gemv kernel with a different reduction order).
-    _LUT_ROW_CHUNK = 256
 
     def build_luts(self, queries: np.ndarray) -> np.ndarray:
         """Batched :meth:`build_lut`: (q, d) -> (q, m, ksub).
 
         Uses the ``|q-c|^2 = |q|^2 - 2 q.c + |c|^2`` expansion so the cross
-        term is a batched GEMM over the sub-space axis (the same push-into-
-        BLAS idiom as :mod:`repro.ann.distances`), evaluated in fixed-size
-        row chunks for batch-size-independent results.
+        term is one batched GEMM over the sub-space axis (the same push-into-
+        BLAS idiom as :mod:`repro.ann.distances`).  BLAS picks its kernel by
+        shape, so the last bits of a table may depend on the batch size; the
+        search path does not use these tables (see :meth:`cross_terms`).
         """
         books = self._require_trained()
         qs = self._split(queries)  # (q, m, dsub)
-        n = qs.shape[0]
-        chunk = self._LUT_ROW_CHUNK
-        books_t = np.ascontiguousarray(books.transpose(0, 2, 1))  # (m, dsub, ksub)
-        cross = np.empty((n, self.m, self.ksub), dtype=np.float32)
-        for s in range(0, n, chunk):
-            block = qs[s : s + chunk]
-            nb = block.shape[0]
-            if nb < chunk:
-                block = np.concatenate(
-                    [block, np.zeros((chunk - nb, self.m, self.dsub), np.float32)]
-                )
-            part = np.matmul(block.transpose(1, 0, 2), books_t)  # (m, chunk, ksub)
-            cross[s : s + nb] = part.transpose(1, 0, 2)[:nb]
+        cross = np.matmul(qs.transpose(1, 0, 2), books.transpose(0, 2, 1))  # (m, q, ksub)
         q_sq = np.einsum("qjd,qjd->qj", qs, qs)
         c_sq = np.einsum("jkd,jkd->jk", books, books)
-        lut = q_sq[:, :, None] + c_sq[None, :, :] - 2.0 * cross
+        lut = q_sq[:, :, None] + c_sq[None, :, :] - 2.0 * cross.transpose(1, 0, 2)
         np.maximum(lut, 0.0, out=lut)
         return lut
+
+    def cross_terms(self, x: np.ndarray) -> np.ndarray:
+        """``-2 <x_j, c_jk>`` for every row of ``x``: (n, d) -> (n, m, ksub).
+
+        The inner products are summed left to right over ``dsub`` with
+        elementwise float32 operations, not a GEMM (whose kernel BLAS picks
+        by shape), so every entry depends on its own row alone: its bits do
+        not change with the number of rows passed.  This is the per-query
+        term of the IVFADC distance split (:meth:`repro.ann.ivf.IVFPQIndex.
+        term_table` holds the per-cell one).
+        """
+        books = self._require_trained()
+        xs = self._split(x)  # (n, m, dsub)
+        neg2 = np.ascontiguousarray(books.transpose(2, 0, 1)) * np.float32(-2.0)
+        out = xs[:, :, 0, None] * neg2[0]
+        tmp = np.empty_like(out)
+        for t in range(1, self.dsub):
+            np.multiply(xs[:, :, t, None], neg2[t], out=tmp)
+            out += tmp
+        return out
+
+    def code_norms(self) -> np.ndarray:
+        """``|c_jk|^2`` per sub-space centroid, (m, ksub), summed left to
+        right over ``dsub`` like :meth:`cross_terms`."""
+        books = self._require_trained()
+        out = books[:, :, 0] * books[:, :, 0]
+        for t in range(1, self.dsub):
+            out += books[:, :, t] * books[:, :, t]
+        return out
 
     def adc(self, lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Stage PQDist: asymmetric distances for (n, m) codes given one LUT.

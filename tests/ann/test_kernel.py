@@ -1,8 +1,11 @@
 """Differential suite for the fused Stage PQDist + Stage SelK scan.
 
 ``IVFPQIndex.search_preselected`` is the production scan every search path
-goes through.  Each generated case checks its answers against two
-references composed here from the numpy stages:
+goes through: per-query terms (``stage_query_terms``) plus the index's
+precomputed term table, added into each (query, cell) pair table inside
+the scan.  Each generated case checks its answers against two references
+composed here from the numpy stages, both scanning the materialised pair
+tables of ``stage_build_luts_batch``:
 
 - the batched reference, ``stage_pq_dist_batch`` + ``stage_select_k_batch``;
 - the per-query stages, ``stage_pq_dist`` + ``stage_select_k``, one query
@@ -25,7 +28,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +239,32 @@ class TestDistancesAreL2:
             np.testing.assert_allclose(dists[q][found], want, rtol=1e-3, atol=1e-4)
 
 
+class TestTermTable:
+    @given(cases())
+    @settings(max_examples=10, deadline=None)
+    def test_rebuilt_bit_for_bit_after_load(self, case):
+        """``load_index_dir`` recomputes the table; the format is unchanged."""
+        index, _, _ = build(case)
+        want = index.term_table()
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index_dir(index, tmp)
+            assert sorted(os.listdir(tmp)) == [
+                "codes.npy", "ids.npy", "meta.npz", "offsets.npy"
+            ]
+            got = load_index_dir(tmp, mmap=True).term_table()
+        assert got is not want
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_rebuilt_when_quantizers_are_replaced(self):
+        index, _, _ = build(CORRUPTIBLE)
+        first = index.term_table()
+        assert index.term_table() is first
+        index.centroids = index.centroids + 1.0
+        second = index.term_table()
+        assert second is not first
+        assert not np.array_equal(second, first)
+
+
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
@@ -269,10 +298,12 @@ class TestKernelTier:
 
     @needs_cc
     def test_rejects_m_above_numpy_flat_sum(self):
-        luts = np.zeros((1, 1, kernel.MAX_M + 8, 16), dtype=np.float32)
-        lists = PackedInvLists.empty(1, kernel.MAX_M + 8)
+        m = kernel.MAX_M + 8
+        tables = np.zeros((1, m, 16), dtype=np.float32)
+        one = np.zeros((1, 1), dtype=np.int64)
+        lists = PackedInvLists.empty(1, m)
         with pytest.raises(ValueError, match="m <= 128"):
-            kernel.scan_select(luts, np.zeros((1, 1), dtype=np.int64), lists, 1)
+            kernel.scan_select(tables, tables, one.astype(np.float32), one, lists, 1)
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_rejects_non_positive_k(self, monkeypatch, compiled):
@@ -334,6 +365,39 @@ class TestKernelTier:
         assert len([name for name in built if name.endswith(".so")]) == 1, built
         assert not [name for name in built if name.startswith(".")], built
 
+
+class TestMutant:
+    @needs_cc
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_dis0_added_after_the_sum_fails(self, monkeypatch, tmp_path, residual):
+        """The suite bites on the pair-table order: a kernel that adds the
+        coarse term to each code's sum, instead of folding it into sub-space
+        0's row, gives distances a few ulps off and must fail."""
+        source = kernel._SOURCE.read_text()
+        fold = "lut[c] += d0;"
+        scan = "float d = adc(lut, codes + e * m, m, ksub);"
+        assert source.count(fold) == 1 and source.count(scan) == 1
+        mutant = tmp_path / "_kernel.c"
+        mutant.write_text(
+            source.replace(fold, ";").replace(scan, scan[:-1] + " + d0;")
+        )
+        monkeypatch.setattr(kernel, "_SOURCE", mutant)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        kernel.library.cache_clear()
+        try:
+            assert kernel.ACTIVE == "c"
+            index, queries_t, probed = build(replace(MUTANT, residual=residual))
+            with pytest.raises(AssertionError):
+                check_against_references(index, queries_t, probed, MUTANT.k)
+        finally:
+            kernel.library.cache_clear()
+
+
+#: Enough candidates that some distance rounds differently under a mutant.
+MUTANT = Case(
+    m=16, ksub=64, sizes=(40, 30, 50, 20), nq=4, nprobe=4, k=10,
+    ties=False, residual=True, prune=False, seed=7,
+)
 
 #: A small case with ksub < 256, so a code byte can lie outside the tables.
 CORRUPTIBLE = Case(
