@@ -382,8 +382,9 @@ class IVFPQIndex:
 
         Packs any buffered ``add()`` batches, builds the term table and
         loads the compiled scan kernel (compiling it on a cold cache), so
-        none of these costs lands on the first queries.  Returns how many of ``cells`` (default: all) hold
-        codes — the cells a search can scan.
+        none of these costs lands on the first queries.  Returns how many
+        of ``cells`` (default: all) hold codes — the cells a search can
+        scan.
         """
         sizes = self.invlists.sizes
         self.term_table()
@@ -468,9 +469,8 @@ class IVFPQIndex:
 
         The batch is processed in blocks (:meth:`lut_block_queries`);
         results are independent per query, so blocking never changes them.
-        Returns
-        ``(ids (q, k), dists (q, k), codes_scanned)``; stats are left to
-        the caller.
+        Returns ``(ids (q, k), dists (q, k), codes_scanned)``; stats are
+        left to the caller.
         """
         nq, nprobe = probed.shape
         block = self.lut_block_queries(nprobe)
