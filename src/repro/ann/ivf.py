@@ -54,6 +54,9 @@ __all__ = ["IVFPQIndex", "IVFStats"]
 #: large batch.
 _LUT_BATCH_ELEMS = 1 << 24
 
+#: Float32 elements per temporary while building the term table (64 KiB).
+_TERM_CHUNK_ELEMS = 1 << 14
+
 
 @dataclass
 class IVFStats:
@@ -245,8 +248,15 @@ class IVFPQIndex:
         if cached is None or cached[0] is not centroids or cached[1] is not pq.codebooks:
             norms = pq.code_norms()
             if self.by_residual:
-                table = pq.cross_terms(centroids)  # -2<c_j, r_jk>
-                np.subtract(norms, table, out=table)
+                # cross_terms rows are independent, so building the table a
+                # few cells at a time gives the same bits with temporaries
+                # small enough to come from (and return to) the heap.
+                table = np.empty((self.nlist, self.m, self.ksub), dtype=np.float32)
+                step = max(1, _TERM_CHUNK_ELEMS // (self.m * self.ksub))
+                for c in range(0, self.nlist, step):
+                    # |r|^2 - (-2<c, r>)
+                    np.subtract(norms, pq.cross_terms(centroids[c : c + step]),
+                                out=table[c : c + step])
             else:
                 table = np.broadcast_to(norms, (self.nlist, self.m, self.ksub))
             cached = (centroids, pq.codebooks, table)

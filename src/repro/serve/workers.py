@@ -1232,12 +1232,14 @@ def worker_main(argv: list[str] | None = None) -> int:
         shard = partition_index(index, args.workers)[args.shard]
     else:
         shard = index
+    # Load the scan kernel and build the term table before the handshake,
+    # so no request pays for them, and before the split below, so both
+    # views share one table.
+    shard.warm_gather_cache()
     # Two independent views over the same mmap'd storage: the engine's
     # dispatcher thread and the preselect executor are separate
     # searchers, and IVFPQIndex is single-searcher per view.
     engine_view, preselect_view = replicate_index(shard, 2)
-    # Load the scan kernel before the handshake, so no request pays for it.
-    engine_view.warm_gather_cache()
     asyncio.run(_serve_until_stopped(engine_view, preselect_view, args))
     return 0
 
