@@ -129,8 +129,7 @@ class ProductQuantizer:
         qs = self._split(queries)  # (q, m, dsub)
         cross = np.matmul(qs.transpose(1, 0, 2), books.transpose(0, 2, 1))  # (m, q, ksub)
         q_sq = np.einsum("qjd,qjd->qj", qs, qs)
-        c_sq = np.einsum("jkd,jkd->jk", books, books)
-        lut = q_sq[:, :, None] + c_sq[None, :, :] - 2.0 * cross.transpose(1, 0, 2)
+        lut = q_sq[:, :, None] + self.code_norms()[None] - 2.0 * cross.transpose(1, 0, 2)
         np.maximum(lut, 0.0, out=lut)
         return lut
 
