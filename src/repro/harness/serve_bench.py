@@ -1,48 +1,56 @@
-"""Serving benchmarks: micro-batching, replication, and sharding.
+"""Serving benchmarks: the ``serve-bench`` modes and ``codesign-serve``.
 
-The deployment story of Figure 1 implies queries arriving one at a time
-from many clients; PR 1's batched query engine is fastest on batches.
-:func:`run` quantifies what the dynamic micro-batching scheduler buys when
-bridging the two: closed-loop throughput and tail latency for
+Every runner builds its own small index (:func:`build_serving_index`)
+and checks that the stack under test answers bit-identically to direct
+``IVFPQIndex.search`` before it times anything: a fast wrong answer is
+not a speedup.
 
-- a **batch-size-1 baseline** (every request served alone — the seed's
-  implicit serving model),
-- the **micro-batching scheduler** at several batch windows,
-- micro-batching **plus the LRU query cache** on a skewed (repeating)
-  query stream.
+:func:`run` (basic mode) measures what dynamic micro-batching buys for
+queries that arrive one at a time: closed-loop throughput and tail
+latency of a batch-size-1 baseline, of the micro-batching scheduler at
+several batch windows, and of micro-batching plus the LRU query cache.
+Its check serves one block twice through a cached engine; the second
+pass must be all cache hits, and both passes exact.
 
-:func:`run_replicated` measures the scale-out tier on top of that: an
-R×S grid of **simulated accelerator devices**
-(:class:`~repro.serve.backends.SimulatedDeviceBackend` — exact results,
-wall time padded to a modeled device service time plus a LogGP network
-hop), replicated behind least-loaded routing and sharded behind exact
-scatter-gather merge.  Throughput should scale with the replica count at
-flat-or-better tail latency, and per-device service time should shrink
-with the shard count — the paper's scale-out claims, measured through the
-real scheduler/routing stack.  The scatter/gather collectives for S
-shards are additionally modeled with the binary-tree LogGP estimator
-(:mod:`repro.net.collectives`) and reported alongside the measured
-percentiles.
+:func:`run_replicated` measures an R×S grid of simulated accelerator
+devices (:class:`~repro.serve.backends.SimulatedDeviceBackend`: exact
+results, wall time padded to a modeled service time plus a LogGP hop)
+behind replica routing and exact scatter-gather merge.  Modeled
+binary-tree collectives (:mod:`repro.net.collectives`) are reported
+beside the measured percentiles.
 
-:func:`run_async` measures the **asyncio connection tier** against the
-thread-based front end: C concurrent connections (C up to thousands —
-far past what a thread per connection affords) drive the same engine
-over a simulated device, threads via :func:`run_closed_loop`, async via
-real localhost TCP through :class:`~repro.serve.aio.VectorSearchServer`
-/ :class:`~repro.serve.aio.AsyncClient` speaking the binary protocol.
+:func:`run_qos` measures the multi-tenant QoS tier over a modeled device
+of known capacity: victim tenants isolated, against an aggressor burst
+through FIFO, and through WFQ plus a quota; then the adaptive batch
+window against fixed windows at low and high load.
 
-:func:`run_multiproc` measures the **multi-process data plane**: N
-worker processes (:class:`~repro.serve.workers.WorkerPool`) each mmap
-the same saved index directory and scan their shard with their own GIL,
-while the router runs coarse quantization **once per batch** and ships
-each worker its pruned cell subset over one preselect frame
-(:class:`~repro.serve.routing.ShardedBackend` with a planner).  Unlike
-every other mode here, the workers burn real CPU — QPS scaling with N
-requires actual cores, so the result records the host's CPU count
-alongside the measured curve.
+:func:`run_async` measures the thread-per-connection front end against
+the asyncio tier (:class:`~repro.serve.aio.VectorSearchServer` over real
+localhost TCP) at up to thousands of concurrent connections.
 
-All results are verified bit-identical to direct ``IVFPQIndex.search``
-before any timing is reported — a fast wrong answer is not a speedup.
+:func:`run_multiproc` measures N worker processes
+(:class:`~repro.serve.workers.WorkerPool`) that mmap one saved index,
+while the router quantizes each batch once and ships every worker its
+pruned cells.  It checks coarse-once and records the host's CPU count,
+since scaling with N needs real cores.
+
+:func:`run_chaos` SIGKILLs workers on a seeded schedule under live load
+and checks zero failed requests, every kill recovered, exact answers
+before and after, and no leaked process.
+
+These six return one :class:`BenchResult`: ``tables`` and ``notes`` (the
+headline lines) are what ``format()`` prints; ``points`` holds one dict
+per table row (its key fields, its :class:`~repro.serve.loadgen.LoadReport`
+under ``"report"``, its other measures), found with ``point(**key)``;
+``summary`` holds run-level outcomes; ``checks`` names the pass/fail
+verdicts the CLI exits 1 on.
+
+:func:`run_codesign` (``codesign-serve``) searches the joint index ×
+topology × QoS × window space, emits the winner as a
+:class:`~repro.serve.topology_spec.TopologySpec`, and optionally
+materializes it to record the modeled-vs-measured gap.  Its
+:class:`CodesignServeResult` writes the ``--report`` JSON that
+``tools/check_codesign.py`` reads.
 """
 
 from __future__ import annotations
@@ -110,21 +118,9 @@ from repro.serve.topology_spec import TopologySpec
 from repro.serve.workers import WorkerPool
 
 __all__ = [
-    "AsyncConfigRow",
-    "AsyncServeResult",
-    "ChaosKillRow",
-    "ChaosServeResult",
+    "BenchResult",
     "CodesignServeResult",
     "CodesignValidation",
-    "MultiprocConfigRow",
-    "MultiprocServeResult",
-    "QosBenchResult",
-    "QosTenantRow",
-    "ReplicatedConfigRow",
-    "ReplicatedServeResult",
-    "ServeBenchResult",
-    "ServeConfigRow",
-    "WindowRow",
     "build_serving_index",
     "default_codesign_traffic",
     "run",
@@ -147,84 +143,34 @@ K = 10
 NPROBE = 8
 N_QUERY_POOL = 200
 
-
-def _row(rows: list, **key):
-    """The row whose attributes equal ``key``; KeyError lists the measured keys."""
-    for r in rows:
-        if all(getattr(r, name) == value for name, value in key.items()):
-            return r
-    measured = [tuple(getattr(r, name) for name in key) for r in rows]
-    raise KeyError(f"no measured row with {key}; measured: {measured}")
-
-
-class _IdentityVerdict:
-    """Result mixin: the run passes when its answers matched direct search."""
-
-    @property
-    def checks(self) -> dict[str, bool]:
-        """Named pass/fail checks; ``cli`` exits nonzero if any is False."""
-        return {"bit_identical": self.bit_identical}
-
-
-@dataclass(frozen=True)
-class ServeConfigRow:
-    """One serving configuration's measured outcome."""
-
-    name: str
-    max_batch: int
-    max_wait_us: float
-    cache: bool
-    report: LoadReport
-
-    def cells(self) -> list:
-        r = self.report
-        hit_rate = (
-            r.cache_hits / max(r.cache_hits + r.cache_misses, 1) if self.cache else 0.0
-        )
-        return [
-            self.name, self.max_batch, self.max_wait_us,
-            "on" if self.cache else "off",
-            r.achieved_qps, r.total.p50_us, r.total.p99_us,
-            r.mean_batch_size, f"{100 * hit_rate:.0f}%",
-        ]
+#: Micro-batch cap of the basic, multiproc and chaos engines.
+MAX_BATCH = 16
 
 
 @dataclass
-class ServeBenchResult(_IdentityVerdict):
-    rows: list[ServeConfigRow]
-    bit_identical: bool
-    n_clients: int
-    n_requests: int
+class BenchResult:
+    """Outcome of one serve-bench mode (the contract is in the module doc)."""
 
-    @property
-    def baseline(self) -> ServeConfigRow:
-        return next(r for r in self.rows if r.max_batch == 1)
+    tables: list[str]
+    checks: dict[str, bool]
+    points: list[dict] = field(default_factory=list)
+    summary: dict = field(default_factory=dict)
+    #: Headline lines printed under the tables; "" is a blank line.
+    notes: list[str] = field(default_factory=list)
 
-    def best_batched(self) -> ServeConfigRow:
-        """Highest-QPS micro-batched config (cache off — pure scheduling)."""
-        batched = [r for r in self.rows if r.max_batch > 1 and not r.cache]
-        return max(batched, key=lambda r: r.report.achieved_qps)
+    def point(self, **key) -> dict:
+        """The point whose fields equal ``key``; KeyError lists the measured keys."""
+        for p in self.points:
+            if all(name in p and p[name] == value for name, value in key.items()):
+                return p
+        measured = [
+            tuple(p[name] for name in key) for p in self.points if key.keys() <= p.keys()
+        ]
+        raise KeyError(f"no measured point with {key}; measured: {measured}")
 
     def format(self) -> str:
-        headers = [
-            "config", "max_batch", "window_us", "cache",
-            "QPS", "p50_us", "p99_us", "mean_batch", "hit%",
-        ]
-        table = format_table(
-            headers, [r.cells() for r in self.rows],
-            title=(
-                f"serve-bench: closed loop, {self.n_clients} clients, "
-                f"{self.n_requests} requests (results bit-identical to "
-                f"direct search: {self.bit_identical})"
-            ),
-        )
-        base, best = self.baseline, self.best_batched()
-        speedup = best.report.achieved_qps / max(base.report.achieved_qps, 1e-9)
-        tail = base.report.total.p99_us / max(best.report.total.p99_us, 1e-9)
-        return (
-            f"{table}\n\nbest micro-batched ({best.name}): "
-            f"{speedup:.2f}x QPS of batch-1 at {tail:.2f}x lower p99"
-        )
+        """The tables a blank line apart, then the notes one per line."""
+        return "\n".join(["\n\n".join(self.tables), *self.notes])
 
 
 def build_serving_index(
@@ -253,17 +199,16 @@ def _serve_block(
     nprobe: int,
     tags: list[dict] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Serve ``queries`` through ``engine`` (not yet started), all in flight.
+    """Serve ``queries`` through the running ``engine``, all in flight.
 
     ``tags`` optionally gives each request its ``tenant``/``priority``
     keywords.  Returns the stacked ``(ids, dists)`` in query order.
     """
-    with engine:
-        futs = [
-            engine.submit(q, k, nprobe, **(tags[i] if tags else {}))
-            for i, q in enumerate(queries)
-        ]
-        got = [f.result() for f in futs]
+    futs = [
+        engine.submit(q, k, nprobe, **(tags[i] if tags else {}))
+        for i, q in enumerate(queries)
+    ]
+    got = [f.result() for f in futs]
     return np.stack([g.ids for g in got]), np.stack([g.dists for g in got])
 
 
@@ -277,20 +222,16 @@ def _matches_search(
 
 
 def run(
-    ctx=None,
     *,
     n_clients: int = 16,
     n_requests: int = 400,
     windows_us: tuple[float, ...] = (0.0, 1000.0, 4000.0),
-    max_batch: int = 16,
-    k: int = K,
-    nprobe: int = NPROBE,
     seed: int = 0,
     trace_path: str | None = None,
     trace_sample: float = 1.0,
     metrics_out: str | None = None,
-) -> ServeBenchResult:
-    """Run the serving comparison (ctx unused; the index is self-built).
+) -> BenchResult:
+    """Run the serving comparison.
 
     With ``trace_path`` every configuration serves through one shared
     :class:`~repro.obs.trace.Tracer` (head-sampled at ``trace_sample``)
@@ -300,21 +241,26 @@ def run(
     """
     index, queries = build_serving_index(seed=seed)
     check = queries[:64]
-    served = _serve_block(
-        ServingEngine(index, max_batch=16, max_wait_us=2000.0), check, k, nprobe
+    # The check covers the cached configuration too: the second pass
+    # over the block must be answered from the cache alone.
+    with ServingEngine(
+        index, max_batch=MAX_BATCH, max_wait_us=2000.0,
+        cache=QueryResultCache(capacity=4 * N_QUERY_POOL),
+    ) as engine:
+        passes = [_serve_block(engine, check, K, NPROBE)]
+        hits = engine.metrics.snapshot().counters.get("cache_hits", 0)
+        passes.append(_serve_block(engine, check, K, NPROBE))
+        hits = engine.metrics.snapshot().counters.get("cache_hits", 0) - hits
+    bit_identical = hits == len(check) and all(
+        _matches_search(index, check, K, NPROBE, got) for got in passes
     )
-    bit_identical = _matches_search(index, check, k, nprobe, served)
     tracer = Tracer(sample_rate=trace_sample, seed=seed) if trace_path is not None else None
 
-    configs: list[tuple[str, int, float, bool]] = [
-        ("batch-1", 1, 0.0, False),
-    ]
-    configs += [
-        (f"batched w={int(w)}us", max_batch, w, False) for w in windows_us
-    ]
-    configs.append(("batched + cache", max_batch, windows_us[-1], True))
+    configs = [("batch-1", 1, 0.0, False)]
+    configs += [(f"batched w={int(w)}us", MAX_BATCH, w, False) for w in windows_us]
+    configs.append(("batched + cache", MAX_BATCH, windows_us[-1], True))
 
-    rows: list[ServeConfigRow] = []
+    points, rows = [], []
     config_metrics: dict[str, dict] = {}
     for name, mb, wait, use_cache in configs:
         backend = InstrumentedBackend(index)
@@ -322,23 +268,53 @@ def run(
         with ServingEngine(
             backend, max_batch=mb, max_wait_us=wait, cache=cache, tracer=tracer
         ) as engine:
-            report = run_closed_loop(
-                engine, queries, k, nprobe,
+            r = run_closed_loop(
+                engine, queries, K, NPROBE,
                 n_clients=n_clients, n_requests=n_requests,
             )
         config_metrics[name] = engine.metrics.snapshot().to_dict()
-        rows.append(ServeConfigRow(name, mb, wait, use_cache, report))
+        points.append(
+            dict(name=name, max_batch=mb, max_wait_us=wait, cache=use_cache, report=r)
+        )
+        hit_rate = r.cache_hits / max(r.cache_hits + r.cache_misses, 1) if use_cache else 0.0
+        rows.append([
+            name, mb, wait, "on" if use_cache else "off",
+            r.achieved_qps, r.total.p50_us, r.total.p99_us,
+            r.mean_batch_size, f"{100 * hit_rate:.0f}%",
+        ])
 
     if tracer is not None:
         write_chrome_trace(trace_path, tracer.spans(), dropped=tracer.dropped)
     if metrics_out is not None:
         _write_metrics(metrics_out, {"mode": "basic", "configs": config_metrics})
 
-    return ServeBenchResult(
-        rows=rows,
-        bit_identical=bit_identical,
-        n_clients=n_clients,
-        n_requests=n_requests,
+    table = format_table(
+        ["config", "max_batch", "window_us", "cache",
+         "QPS", "p50_us", "p99_us", "mean_batch", "hit%"],
+        rows,
+        title=(
+            f"serve-bench: closed loop, {n_clients} clients, "
+            f"{n_requests} requests (results bit-identical to "
+            f"direct search: {bit_identical})"
+        ),
+    )
+    # Best micro-batched config with the cache off: pure scheduling.
+    best = max(
+        (p for p in points if p["max_batch"] > 1 and not p["cache"]),
+        key=lambda p: p["report"].achieved_qps,
+    )
+    base, top = points[0]["report"], best["report"]
+    speedup = top.achieved_qps / max(base.achieved_qps, 1e-9)
+    tail = base.total.p99_us / max(top.total.p99_us, 1e-9)
+    return BenchResult(
+        tables=[table],
+        checks={"bit_identical": bit_identical},
+        points=points,
+        notes=[
+            "",
+            f"best micro-batched ({best['name']}): "
+            f"{speedup:.2f}x QPS of batch-1 at {tail:.2f}x lower p99",
+        ],
     )
 
 
@@ -352,6 +328,9 @@ def run(
 #: dominates its host's dispatch work.
 DEVICE_FILL_US = 2000.0
 DEVICE_PER_QUERY_US = 1000.0
+#: Micro-batch cap and batch window of every grid point's engine.
+REPLICATED_MAX_BATCH = 8
+REPLICATED_WAIT_US = 500.0
 
 
 def device_service_us(batch: int, shards: int) -> float:
@@ -359,7 +338,7 @@ def device_service_us(batch: int, shards: int) -> float:
     return DEVICE_FILL_US + DEVICE_PER_QUERY_US * batch / shards
 
 
-def device_hop_us(d: int = D, k: int = K) -> float:
+def device_hop_us() -> float:
     """LogGP wire time per device call: query in, top-K result out.
 
     Charges full on-wire frame sizes (header + fixed fields + payload,
@@ -367,115 +346,31 @@ def device_hop_us(d: int = D, k: int = K) -> float:
     :func:`~repro.net.wire.result_frame_bytes`), not bare payload bytes —
     the same framing every byte of the real socket tier pays.
     """
-    return point_to_point_us(search_frame_bytes(d)) + point_to_point_us(
-        result_frame_bytes(k)
-    )
+    return point_to_point_us(search_frame_bytes(D)) + point_to_point_us(result_frame_bytes(K))
 
 
-def collective_us(shards: int, d: int = D, k: int = K) -> float:
+def collective_us(shards: int) -> float:
     """Modeled binary-tree scatter/gather cost across ``shards`` (0 for 1).
 
     Like :func:`device_hop_us`, charges full framed wire sizes.
     """
     if shards <= 1:
         return 0.0
-    return binary_tree_broadcast_us(
-        shards, search_frame_bytes(d)
-    ) + binary_tree_reduce_us(shards, result_frame_bytes(k))
-
-
-@dataclass(frozen=True)
-class ReplicatedConfigRow:
-    """One (replicas, shards) grid point's measured outcome."""
-
-    replicas: int
-    shards: int
-    policy: str
-    report: LoadReport
-    #: Modeled per-device service time for a full batch at this shard count.
-    device_us: float
-    #: Modeled binary-tree scatter/gather collectives for this shard count.
-    net_us: float
-    #: Batches dispatched per replica of shard 0 (routing balance).
-    dispatch_counts: list[int]
-
-    def cells(self) -> list:
-        """Row cells for the result table."""
-        r = self.report
-        balance = "/".join(str(c) for c in self.dispatch_counts)
-        return [
-            f"R={self.replicas} S={self.shards}",
-            r.achieved_qps, r.total.p50_us, r.total.p99_us,
-            r.total.p99_us + self.net_us,
-            r.mean_batch_size, self.device_us, balance,
-        ]
-
-
-@dataclass
-class ReplicatedServeResult(_IdentityVerdict):
-    """Outcome of the replicas × shards serving matrix."""
-
-    rows: list[ReplicatedConfigRow]
-    bit_identical: bool
-    n_clients: int
-    n_requests: int
-
-    def row(self, replicas: int, shards: int) -> ReplicatedConfigRow:
-        """The grid point measured at (``replicas``, ``shards``)."""
-        return _row(self.rows, replicas=replicas, shards=shards)
-
-    def replica_speedup(self, replicas: int, shards: int = 1) -> float:
-        """QPS of (replicas, shards) over the single-replica column."""
-        return (
-            self.row(replicas, shards).report.achieved_qps
-            / max(self.row(1, shards).report.achieved_qps, 1e-9)
-        )
-
-    def format(self) -> str:
-        """Human-readable matrix table plus the headline scaling numbers."""
-        headers = [
-            "topology", "QPS", "p50_us", "p99_us", "p99+net_us",
-            "mean_batch", "device_us", "dispatched",
-        ]
-        table = format_table(
-            headers, [r.cells() for r in self.rows],
-            title=(
-                f"replicated serve: closed loop, {self.n_clients} clients, "
-                f"{self.n_requests} requests/config, simulated devices "
-                f"(bit-identical to direct search: {self.bit_identical})"
-            ),
-        )
-        shards_1 = sorted({r.replicas for r in self.rows if r.shards == 1})
-        lines = [table]
-        # Headline requires both the R=1 baseline and a larger R at S=1;
-        # a grid measured without them (e.g. --replicas 2,3) skips it.
-        if len(shards_1) > 1 and shards_1[0] == 1:
-            top = shards_1[-1]
-            base = self.row(1, 1).report
-            best = self.row(top, 1).report
-            lines.append(
-                f"\n{top} replicas: {self.replica_speedup(top):.2f}x QPS of 1 "
-                f"replica at {base.total.p99_us / max(best.total.p99_us, 1e-9):.2f}x "
-                f"lower p99"
-            )
-        return "".join(lines)
+    return binary_tree_broadcast_us(shards, search_frame_bytes(D)) + binary_tree_reduce_us(
+        shards, result_frame_bytes(K)
+    )
 
 
 def run_replicated(
-    ctx=None,
     *,
     replicas: tuple[int, ...] = (1, 2, 3),
     shards: tuple[int, ...] = (1, 2, 4),
     n_clients: int = 32,
     n_requests: int = 600,
-    max_batch: int = 8,
-    max_wait_us: float = 500.0,
     policy: str = "least-loaded",
-    k: int = K,
-    nprobe: int = NPROBE,
     seed: int = 0,
-) -> ReplicatedServeResult:
-    """Measure the replicas × shards grid (ctx unused; self-built index).
+) -> BenchResult:
+    """Measure the replicas × shards grid.
 
     Each grid point serves the same closed-loop load through a
     :func:`~repro.serve.routing.build_topology` backend of simulated
@@ -493,20 +388,22 @@ def run_replicated(
             index, replicas=r, shards=s, policy=policy,
             wrap=lambda v: SimulatedDeviceBackend(v, 0.0),
         )
-        engine = ServingEngine(topo, max_batch=8, max_wait_us=2000.0, dispatchers=r)
-        return _serve_block(engine, check, k, nprobe)
+        with ServingEngine(
+            topo, max_batch=8, max_wait_us=2000.0, dispatchers=r
+        ) as engine:
+            return _serve_block(engine, check, K, NPROBE)
 
     # Every grid point (including the collapsed R=1 / S=1 topologies,
     # which take different code paths) must agree with direct search
     # before any of them is timed.
     bit_identical = all(
-        _matches_search(index, check, k, nprobe, served(r, s))
+        _matches_search(index, check, K, NPROBE, served(r, s))
         for s in shards
         for r in replicas
     )
 
-    hop = device_hop_us(D, k)
-    rows: list[ReplicatedConfigRow] = []
+    hop = device_hop_us()
+    points, rows = [], []
     for s in shards:
         svc = functools.partial(device_service_us, shards=s)
         for r in replicas:
@@ -519,10 +416,11 @@ def run_replicated(
                 seed=seed,
             )
             with ServingEngine(
-                topo, max_batch=max_batch, max_wait_us=max_wait_us, dispatchers=r
+                topo, max_batch=REPLICATED_MAX_BATCH,
+                max_wait_us=REPLICATED_WAIT_US, dispatchers=r,
             ) as engine:
                 report = run_closed_loop(
-                    engine, queries, k, nprobe,
+                    engine, queries, K, NPROBE,
                     n_clients=n_clients, n_requests=n_requests,
                 )
             # Routing balance of shard 0's replica set (all shards behave
@@ -532,21 +430,51 @@ def run_replicated(
                 counts = list(rs.dispatch_counts)
             else:
                 counts = [int(engine.metrics.snapshot().counters.get("batches", 0))]
-            rows.append(
-                ReplicatedConfigRow(
-                    replicas=r, shards=s, policy=policy, report=report,
-                    device_us=device_service_us(max_batch, s),
-                    net_us=collective_us(s, D, k),
-                    dispatch_counts=counts,
-                )
+            point = dict(
+                replicas=r, shards=s, policy=policy, report=report,
+                # Modeled per-device time of a full batch at this shard
+                # count, and the modeled scatter/gather collectives.
+                device_us=device_service_us(REPLICATED_MAX_BATCH, s),
+                net_us=collective_us(s),
+                # Batches dispatched per replica of shard 0.
+                dispatch_counts=counts,
             )
+            points.append(point)
+            rows.append([
+                f"R={r} S={s}",
+                report.achieved_qps, report.total.p50_us, report.total.p99_us,
+                report.total.p99_us + point["net_us"],
+                report.mean_batch_size, point["device_us"],
+                "/".join(str(c) for c in counts),
+            ])
 
-    return ReplicatedServeResult(
-        rows=rows,
-        bit_identical=bit_identical,
-        n_clients=n_clients,
-        n_requests=n_requests,
+    table = format_table(
+        ["topology", "QPS", "p50_us", "p99_us", "p99+net_us",
+         "mean_batch", "device_us", "dispatched"],
+        rows,
+        title=(
+            f"replicated serve: closed loop, {n_clients} clients, "
+            f"{n_requests} requests/config, simulated devices "
+            f"(bit-identical to direct search: {bit_identical})"
+        ),
     )
+    result = BenchResult(
+        tables=[table], checks={"bit_identical": bit_identical}, points=points
+    )
+    # The headline needs both the R=1 baseline and a larger R at S=1; a
+    # grid measured without them (e.g. --replicas 2,3) skips it.
+    shards_1 = sorted({p["replicas"] for p in points if p["shards"] == 1})
+    if len(shards_1) > 1 and shards_1[0] == 1:
+        top = shards_1[-1]
+        base = result.point(replicas=1, shards=1)["report"]
+        best = result.point(replicas=top, shards=1)["report"]
+        result.notes.append(
+            f"{top} replicas: "
+            f"{best.achieved_qps / max(base.achieved_qps, 1e-9):.2f}x QPS of 1 "
+            f"replica at {base.total.p99_us / max(best.total.p99_us, 1e-9):.2f}x "
+            f"lower p99"
+        )
+    return result
 
 
 # --------------------------------------------------------------------- #
@@ -558,6 +486,15 @@ def run_replicated(
 QOS_FILL_US = 6000.0
 QOS_PER_QUERY_US = 250.0
 QOS_MAX_BATCH = 16
+#: Noisy neighbor: each victim offers this share of capacity C, the
+#: aggressor this multiple of C, all through a window of QOS_WAIT_US.
+QOS_VICTIM_SHARE = 0.15
+QOS_AGGRESSOR_MULT = 2.0
+QOS_WAIT_US = 2000.0
+#: Adaptive-window sweep: the fixed large window (also the controller's
+#: ceiling) and the high load level as a share of C.
+QOS_FIXED_WINDOW_US = 15_000.0
+QOS_HIGH_UTILIZATION = 0.75
 
 
 def qos_service_us(batch: int) -> float:
@@ -570,130 +507,27 @@ def qos_capacity_qps() -> float:
     return QOS_MAX_BATCH / (qos_service_us(QOS_MAX_BATCH) * 1e-6)
 
 
-@dataclass(frozen=True)
-class QosTenantRow:
-    """One tenant's measured outcome under one scheduling mode."""
-
-    mode: str  # "isolated" | "fifo" | "qos"
-    tenant: str
-    offered_qps: float
-    report: LoadReport
-
-    def cells(self) -> list:
-        """Row cells for the noisy-neighbor table."""
-        r = self.report
-        return [
-            self.mode, self.tenant, self.offered_qps,
-            r.n_completed, r.n_shed,
-            r.total.p50_us, r.total.p99_us,
-        ]
-
-
-@dataclass(frozen=True)
-class WindowRow:
-    """One (load level, window config) point of the adaptive-window sweep."""
-
-    load: str  # "low" | "high"
-    config: str  # "w=0" | "w=fixed" | "adaptive"
-    rate_qps: float
-    report: LoadReport
-    #: Modeled device busy time per completed request — the batch-
-    #: efficiency axis of the frontier (deterministic, unlike wall time).
-    busy_us_per_req: float
-    final_window_us: float
-
-    def cells(self) -> list:
-        """Row cells for the window-sweep table."""
-        r = self.report
-        return [
-            self.load, self.config, self.rate_qps,
-            r.total.p50_us, r.total.p99_us,
-            r.mean_batch_size, self.busy_us_per_req, self.final_window_us,
-        ]
-
-
-@dataclass
-class QosBenchResult(_IdentityVerdict):
-    """Outcome of the multi-tenant QoS benchmark."""
-
-    tenant_rows: list[QosTenantRow]
-    window_rows: list[WindowRow]
-    bit_identical: bool
-
-    # -- noisy neighbor ------------------------------------------------ #
-    def victim_p99(self, mode: str) -> float:
-        """Worst victim-tenant p99 under ``mode`` (aggressor excluded)."""
-        p99s = [
-            row.report.total.p99_us
-            for row in self.tenant_rows
-            if row.mode == mode and row.tenant != "aggressor"
-        ]
-        if not p99s:
-            raise KeyError(f"no victim rows measured for mode {mode!r}")
-        return max(p99s)
-
-    # -- adaptive window ----------------------------------------------- #
-    def window_row(self, load: str, config: str) -> WindowRow:
-        """The sweep point measured at (``load``, ``config``)."""
-        return _row(self.window_rows, load=load, config=config)
-
-    def format(self) -> str:
-        """Human-readable tables plus the headline isolation numbers."""
-        t1 = format_table(
-            ["mode", "tenant", "offered_qps", "done", "shed", "p50_us", "p99_us"],
-            [r.cells() for r in self.tenant_rows],
-            title=(
-                "noisy neighbor: victims + 2x-overload aggressor "
-                f"(bit-identical to direct search: {self.bit_identical})"
-            ),
-        )
-        t2 = format_table(
-            ["load", "config", "rate_qps", "p50_us", "p99_us",
-             "mean_batch", "busy_us/req", "window_us"],
-            [r.cells() for r in self.window_rows],
-            title="adaptive batch window: fixed windows vs SLO controller",
-        )
-        iso, fifo, qos = (
-            self.victim_p99(m) for m in ("isolated", "fifo", "qos")
-        )
-        lines = [
-            t1, "\n\n", t2,
-            f"\n\nvictim p99: isolated {iso:.0f}us | FIFO under burst "
-            f"{fifo:.0f}us ({fifo / max(iso, 1e-9):.1f}x) | QoS under burst "
-            f"{qos:.0f}us ({qos / max(iso, 1e-9):.1f}x)",
-        ]
-        return "".join(lines)
-
-
 def run_qos(
-    ctx=None,
     *,
     victims: int = 2,
-    victim_share: float = 0.15,
-    aggressor_mult: float = 2.0,
     duration_s: float = 1.25,
     slo_us: float = 40_000.0,
-    max_wait_us: float = 2000.0,
-    window_fixed_us: float = 15_000.0,
     low_rate_qps: float = 30.0,
-    high_utilization: float = 0.75,
-    k: int = K,
-    nprobe: int = NPROBE,
     seed: int = 0,
     timeline: str | None = None,
-) -> QosBenchResult:
-    """Measure the QoS tier (ctx unused; the index is self-built).
+) -> BenchResult:
+    """Measure the QoS tier.
 
     Two scenarios over a modeled accelerator of known capacity C:
 
-    - **noisy neighbor** — ``victims`` tenants at ``victim_share``·C each,
-      measured (a) isolated, (b) against an ``aggressor_mult``·C aggressor
-      burst through the plain FIFO engine, and (c) through the QoS engine
-      (WFQ + a 0.5·C token-bucket quota on the aggressor).  QoS must hold
-      the victims' p99 near isolated where FIFO lets it grow with the
-      backlog.
-    - **adaptive window** — one tenant at a low rate and at
-      ``high_utilization``·C, served with a greedy window (0), a fixed
+    - **noisy neighbor** — ``victims`` tenants at ``QOS_VICTIM_SHARE``·C
+      each, measured (a) isolated, (b) against a ``QOS_AGGRESSOR_MULT``·C
+      aggressor burst through the plain FIFO engine, and (c) through the
+      QoS engine (WFQ + a 0.5·C token-bucket quota on the aggressor).  QoS
+      must hold the victims' p99 near isolated where FIFO lets it grow
+      with the backlog.
+    - **adaptive window** — one tenant at ``low_rate_qps`` and at
+      ``QOS_HIGH_UTILIZATION``·C, served with a greedy window (0), a fixed
       large window, and the :class:`~repro.serve.qos.AdaptiveBatchWindow`
       controller.  The controller must match the greedy window's latency
       when idle and the large window's batch efficiency under load —
@@ -721,18 +555,18 @@ def run_qos(
         },
         depth=4 * len(check),
     )
-    engine = ServingEngine(
-        index, max_batch=8, discipline=fair,
-        adaptive_window=AdaptiveBatchWindow(slo_p99_us=50_000.0, max_us=2000.0),
-    )
     tenants = ("gold", "silver", "bronze")
     tags = [{"tenant": tenants[i % 3], "priority": i % 3 == 0} for i in range(len(check))]
-    served = _serve_block(engine, check, k, nprobe, tags)
-    bit_identical = _matches_search(index, check, k, nprobe, served)
+    with ServingEngine(
+        index, max_batch=8, discipline=fair,
+        adaptive_window=AdaptiveBatchWindow(slo_p99_us=50_000.0, max_us=2000.0),
+    ) as engine:
+        served = _serve_block(engine, check, K, NPROBE, tags)
+    bit_identical = _matches_search(index, check, K, NPROBE, served)
 
     capacity = qos_capacity_qps()
-    victim_rate = victim_share * capacity
-    aggressor_rate = aggressor_mult * capacity
+    victim_rate = QOS_VICTIM_SHARE * capacity
+    aggressor_rate = QOS_AGGRESSOR_MULT * capacity
     victim_names = [f"tenant-{chr(ord('a') + i)}" for i in range(victims)]
 
     def victim_loads() -> list[TenantWorkload]:
@@ -741,7 +575,7 @@ def run_qos(
             TenantWorkload(
                 name, rate_qps=victim_rate,
                 n_requests=max(int(victim_rate * duration_s), 16),
-                k=k, nprobe=nprobe, seed=seed + 17 * (i + 1),
+                k=K, nprobe=NPROBE, seed=seed + 17 * (i + 1),
             )
             for i, name in enumerate(victim_names)
         ]
@@ -749,19 +583,23 @@ def run_qos(
     aggressor_load = TenantWorkload(
         "aggressor", rate_qps=aggressor_rate,
         n_requests=max(int(aggressor_rate * duration_s), 16),
-        k=k, nprobe=nprobe, seed=seed + 101,
+        k=K, nprobe=NPROBE, seed=seed + 101,
     )
     total_requests = sum(
         w.n_requests for w in (*victim_loads(), aggressor_load)
     )
 
-    tenant_rows: list[QosTenantRow] = []
+    points, tenant_rows, window_rows = [], [], []
 
     def record(mode: str, reports: dict[str, LoadReport]) -> None:
-        """Append one measured row per tenant of a scenario run."""
+        """Append one measured point per tenant of a scenario run."""
         for name, rep in sorted(reports.items()):
             offered = aggressor_rate if name == "aggressor" else victim_rate
-            tenant_rows.append(QosTenantRow(mode, name, offered, rep))
+            points.append(dict(mode=mode, tenant=name, offered_qps=offered, report=rep))
+            tenant_rows.append([
+                mode, name, offered, rep.n_completed, rep.n_shed,
+                rep.total.p50_us, rep.total.p99_us,
+            ])
 
     def fresh_engine(discipline=None, events=None) -> ServingEngine:
         """A new engine over a fresh simulated device (busy stats reset)."""
@@ -769,7 +607,7 @@ def run_qos(
         return ServingEngine(
             backend,
             max_batch=QOS_MAX_BATCH,
-            max_wait_us=max_wait_us,
+            max_wait_us=QOS_WAIT_US,
             queue_depth=4 * total_requests,
             policy="shed" if discipline is not None else "block",
             discipline=discipline,
@@ -819,8 +657,7 @@ def run_qos(
         collector.dump_jsonl(timeline)
 
     # (b) adaptive batch window across the load range.
-    high_rate = high_utilization * capacity
-    window_rows: list[WindowRow] = []
+    high_rate = QOS_HIGH_UTILIZATION * capacity
     for load, rate in (("low", low_rate_qps), ("high", high_rate)):
         n_req = max(int(rate * duration_s), 48)
         # Tile the pool to exactly n_req arrivals so duration_s actually
@@ -829,11 +666,11 @@ def run_qos(
         for config in ("w=0", "w=fixed", "adaptive"):
             backend = SimulatedDeviceBackend(index, qos_service_us)
             window = None
-            wait = {"w=0": 0.0, "w=fixed": window_fixed_us}.get(config, 0.0)
+            wait = {"w=0": 0.0, "w=fixed": QOS_FIXED_WINDOW_US}.get(config, 0.0)
             if config == "adaptive":
                 window = AdaptiveBatchWindow(
                     slo_p99_us=slo_us,
-                    max_us=window_fixed_us,
+                    max_us=QOS_FIXED_WINDOW_US,
                     target_batch=QOS_MAX_BATCH,
                 )
             with ServingEngine(
@@ -844,28 +681,55 @@ def run_qos(
                 adaptive_window=window,
             ) as engine:
                 report = run_open_loop(
-                    engine, stream, k, nprobe,
+                    engine, stream, K, NPROBE,
                     rate_qps=rate, seed=seed + 7,
                 )
-            window_rows.append(
-                WindowRow(
-                    load=load,
-                    config=config,
-                    rate_qps=rate,
-                    report=report,
-                    busy_us_per_req=(
-                        backend.busy_us / max(report.n_completed, 1)
-                    ),
-                    final_window_us=(
-                        window.current_us() if window is not None else wait
-                    ),
-                )
-            )
+            # Modeled device busy time per completed request: the batch-
+            # efficiency axis of the frontier (deterministic, unlike wall time).
+            busy = backend.busy_us / max(report.n_completed, 1)
+            final_wait = window.current_us() if window is not None else wait
+            points.append(dict(
+                load=load, config=config, rate_qps=rate, report=report,
+                busy_us_per_req=busy, final_window_us=final_wait,
+            ))
+            window_rows.append([
+                load, config, rate, report.total.p50_us, report.total.p99_us,
+                report.mean_batch_size, busy, final_wait,
+            ])
 
-    return QosBenchResult(
-        tenant_rows=tenant_rows,
-        window_rows=window_rows,
-        bit_identical=bit_identical,
+    def victim_p99(mode: str) -> float:
+        """Worst victim-tenant p99 under ``mode`` (aggressor excluded)."""
+        return max(
+            p["report"].total.p99_us for p in points
+            if p.get("mode") == mode and p["tenant"] != "aggressor"
+        )
+
+    iso, fifo, qos = (victim_p99(m) for m in ("isolated", "fifo", "qos"))
+    return BenchResult(
+        tables=[
+            format_table(
+                ["mode", "tenant", "offered_qps", "done", "shed", "p50_us", "p99_us"],
+                tenant_rows,
+                title=(
+                    "noisy neighbor: victims + 2x-overload aggressor "
+                    f"(bit-identical to direct search: {bit_identical})"
+                ),
+            ),
+            format_table(
+                ["load", "config", "rate_qps", "p50_us", "p99_us",
+                 "mean_batch", "busy_us/req", "window_us"],
+                window_rows,
+                title="adaptive batch window: fixed windows vs SLO controller",
+            ),
+        ],
+        checks={"bit_identical": bit_identical},
+        points=points,
+        notes=[
+            "",
+            f"victim p99: isolated {iso:.0f}us | FIFO under burst "
+            f"{fifo:.0f}us ({fifo / max(iso, 1e-9):.1f}x) | QoS under burst "
+            f"{qos:.0f}us ({qos / max(iso, 1e-9):.1f}x)",
+        ],
     )
 
 
@@ -881,6 +745,7 @@ def run_qos(
 ASYNC_FILL_US = 1000.0
 ASYNC_PER_QUERY_US = 200.0
 ASYNC_MAX_BATCH = 256
+ASYNC_WAIT_US = 200.0
 
 #: Concurrent TCP connects while ramping up a connection sweep (past the
 #: kernel accept backlog, SYN retries would serialize the ramp anyway).
@@ -890,93 +755,6 @@ CONNECT_CONCURRENCY = 128
 def async_service_us(batch: int) -> float:
     """Modeled accelerator time for one batch in the async scenarios."""
     return ASYNC_FILL_US + ASYNC_PER_QUERY_US * batch
-
-
-@dataclass(frozen=True)
-class AsyncConfigRow:
-    """One (front end, connection count) point's measured outcome."""
-
-    frontend: str  # "threads" | "async"
-    connections: int
-    report: LoadReport | None  # None: point skipped (see note)
-    #: Seconds to establish every connection (async rows; 0 for threads).
-    connect_s: float = 0.0
-    note: str = ""
-
-    def cells(self) -> list:
-        """Row cells for the result table."""
-        if self.report is None:
-            return [self.frontend, self.connections, "-", "-", "-", "-", "-",
-                    self.note]
-        r = self.report
-        return [
-            self.frontend, self.connections,
-            r.achieved_qps, r.total.p50_us, r.total.p99_us,
-            r.mean_batch_size, round(self.connect_s, 2), self.note,
-        ]
-
-
-@dataclass
-class AsyncServeResult(_IdentityVerdict):
-    """Outcome of the connection-count sweep over both front ends."""
-
-    rows: list[AsyncConfigRow]
-    bit_identical: bool
-    requests_per_conn: int
-
-    def row(self, frontend: str, connections: int) -> AsyncConfigRow:
-        """The sweep point measured at (``frontend``, ``connections``)."""
-        return _row(self.rows, frontend=frontend, connections=connections)
-
-    def p99_ratio(self, connections: int) -> float | None:
-        """Async p99 over thread p99 at one connection count (None if
-        either side was skipped)."""
-        try:
-            a = self.row("async", connections).report
-            t = self.row("threads", connections).report
-        except KeyError:
-            return None
-        if a is None or t is None:
-            return None
-        return a.total.p99_us / max(t.total.p99_us, 1e-9)
-
-    def max_async_connections(self) -> int:
-        """Largest connection count the async front end completed."""
-        done = [
-            r.connections for r in self.rows
-            if r.frontend == "async" and r.report is not None
-            and r.report.n_completed == r.report.n_issued
-        ]
-        return max(done, default=0)
-
-    def format(self) -> str:
-        """Human-readable sweep table plus the headline numbers."""
-        table = format_table(
-            ["frontend", "conns", "QPS", "p50_us", "p99_us", "mean_batch",
-             "connect_s", "note"],
-            [r.cells() for r in self.rows],
-            title=(
-                f"async serve: closed loop per connection, "
-                f"{self.requests_per_conn} requests/conn, simulated device "
-                f"(bit-identical through the socket protocol: "
-                f"{self.bit_identical})"
-            ),
-        )
-        lines = [table]
-        lines.append(
-            f"\n\nasync front end held {self.max_async_connections()} "
-            f"concurrent connections in one process"
-        )
-        smallest = min(
-            (r.connections for r in self.rows if r.frontend == "threads"
-             and r.report is not None),
-            default=None,
-        )
-        if smallest is not None and (ratio := self.p99_ratio(smallest)) is not None:
-            lines.append(
-                f"; p99 at C={smallest}: async/threads = {ratio:.2f}x"
-            )
-        return "".join(lines)
 
 
 def _client_report(
@@ -1008,13 +786,7 @@ def _client_report(
 
 
 def _drive_thread_closed_loop(
-    engine: ServingEngine,
-    queries: np.ndarray,
-    k: int,
-    nprobe: int | None,
-    *,
-    connections: int,
-    requests_per_conn: int,
+    engine: ServingEngine, queries: np.ndarray, connections: int, requests_per_conn: int,
 ) -> LoadReport:
     """C client threads, each a closed loop, client-observed latency.
 
@@ -1033,7 +805,7 @@ def _drive_thread_closed_loop(
             q = queries[(ci * requests_per_conn + r) % queries.shape[0]]
             t0 = time.perf_counter()
             try:
-                res = engine.search(q, k, nprobe)
+                res = engine.search(q, K, NPROBE)
             except AdmissionError:
                 with lock:
                     shed[0] += 1
@@ -1073,13 +845,7 @@ async def _connect_clients(host: str, port: int, n: int) -> list[AsyncClient]:
 
 
 async def _drive_async_closed_loop(
-    engine: ServingEngine,
-    queries: np.ndarray,
-    k: int,
-    nprobe: int | None,
-    *,
-    connections: int,
-    requests_per_conn: int,
+    engine: ServingEngine, queries: np.ndarray, connections: int, requests_per_conn: int,
 ) -> tuple[LoadReport, float]:
     """C connections, each a closed loop over real localhost TCP.
 
@@ -1107,7 +873,7 @@ async def _drive_async_closed_loop(
                 q = queries[(ci * requests_per_conn + r) % queries.shape[0]]
                 t0 = time.perf_counter()
                 try:
-                    res = await client.search(q, k, nprobe)
+                    res = await client.search(q, K, NPROBE)
                 except AdmissionError:
                     n_shed += 1
                     continue
@@ -1131,9 +897,7 @@ async def _drive_async_closed_loop(
     return report, connect_s
 
 
-def _serve_over_socket(
-    index: IVFPQIndex, queries: np.ndarray, k: int, nprobe: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _serve_over_socket(index: IVFPQIndex, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Serve ``queries`` through server + client + protocol; stack answers."""
 
     async def serve() -> tuple[np.ndarray, np.ndarray]:
@@ -1148,7 +912,7 @@ def _serve_over_socket(
                     # Pipelined, not sequential: every query in flight on
                     # one connection at once — the protocol's id
                     # correlation is what this exercises.
-                    futs = [client.submit(q, k, nprobe) for q in queries]
+                    futs = [client.submit(q, K, NPROBE) for q in queries]
                     await client._writer.drain()
                     got = await asyncio.gather(*futs)
         return np.stack([g.ids for g in got]), np.stack([g.dists for g in got])
@@ -1157,79 +921,96 @@ def _serve_over_socket(
 
 
 def run_async(
-    ctx=None,
     *,
     connections: tuple[int, ...] = (64, 512, 4096),
     requests_per_conn: int = 4,
     thread_cap: int = 512,
-    max_batch: int = ASYNC_MAX_BATCH,
-    max_wait_us: float = 200.0,
-    k: int = K,
-    nprobe: int = NPROBE,
     seed: int = 0,
-) -> AsyncServeResult:
+) -> BenchResult:
     """Measure thread vs async front ends across connection counts.
 
     Each sweep point drives one engine (fresh simulated device) with C
     concurrent closed-loop clients: the thread front end uses C client
     threads calling the blocking ``engine.search``; the async front end
     opens C real TCP connections to a :class:`VectorSearchServer` on one
-    event loop.  Thread points beyond ``thread_cap`` are skipped — a
-    thread per connection at that scale is exactly the limitation the
-    async tier exists to remove (ctx unused; the index is self-built).
+    event loop.  Thread points beyond ``thread_cap`` are skipped (their
+    report is None) — a thread per connection at that scale is exactly
+    the limitation the async tier exists to remove.
     """
     if requests_per_conn < 1:
         raise ValueError(f"requests_per_conn must be >= 1, got {requests_per_conn}")
     index, queries = build_serving_index(seed=seed)
     check = queries[:64]
     bit_identical = _matches_search(
-        index, check, k, nprobe, _serve_over_socket(index, check, k, nprobe)
+        index, check, K, NPROBE, _serve_over_socket(index, check)
     )
 
-    rows: list[AsyncConfigRow] = []
+    points, rows = [], []
     for conns in connections:
 
         def fresh_engine() -> ServingEngine:
             backend = SimulatedDeviceBackend(index, async_service_us)
             return ServingEngine(
                 backend,
-                max_batch=max_batch,
-                max_wait_us=max_wait_us,
+                max_batch=ASYNC_MAX_BATCH,
+                max_wait_us=ASYNC_WAIT_US,
                 queue_depth=2 * conns + 16,
                 policy="shed",
             )
 
+        threads, skipped = None, f"skipped: thread per connection past cap {thread_cap}"
         if conns <= thread_cap:
             with fresh_engine() as engine:
-                report = _drive_thread_closed_loop(
-                    engine, queries, k, nprobe,
-                    connections=conns,
-                    requests_per_conn=requests_per_conn,
-                )
-            rows.append(AsyncConfigRow("threads", conns, report))
-        else:
-            rows.append(
-                AsyncConfigRow(
-                    "threads", conns, None,
-                    note=f"skipped: thread per connection past cap {thread_cap}",
-                )
-            )
-
+                threads = _drive_thread_closed_loop(engine, queries, conns, requests_per_conn)
+            skipped = ""
         with fresh_engine() as engine:
             report, connect_s = asyncio.run(
-                _drive_async_closed_loop(
-                    engine, queries, k, nprobe,
-                    connections=conns,
-                    requests_per_conn=requests_per_conn,
-                )
+                _drive_async_closed_loop(engine, queries, conns, requests_per_conn)
             )
-        rows.append(AsyncConfigRow("async", conns, report, connect_s=connect_s))
+        for frontend, r, secs, note in (
+            ("threads", threads, 0.0, skipped), ("async", report, connect_s, ""),
+        ):
+            points.append(dict(
+                frontend=frontend, connections=conns, report=r, connect_s=secs, note=note,
+            ))
+            cells = ["-"] * 5 if r is None else [
+                r.achieved_qps, r.total.p50_us, r.total.p99_us,
+                r.mean_batch_size, round(secs, 2),
+            ]
+            rows.append([frontend, conns, *cells, note])
 
-    return AsyncServeResult(
-        rows=rows,
-        bit_identical=bit_identical,
-        requests_per_conn=requests_per_conn,
+    held = max(
+        (
+            p["connections"] for p in points
+            if p["frontend"] == "async" and p["report"].n_completed == p["report"].n_issued
+        ),
+        default=0,
     )
+    result = BenchResult(
+        tables=[format_table(
+            ["frontend", "conns", "QPS", "p50_us", "p99_us", "mean_batch",
+             "connect_s", "note"],
+            rows,
+            title=(
+                f"async serve: closed loop per connection, "
+                f"{requests_per_conn} requests/conn, simulated device "
+                f"(bit-identical through the socket protocol: "
+                f"{bit_identical})"
+            ),
+        )],
+        checks={"bit_identical": bit_identical},
+        points=points,
+        summary={"max_async_connections": held},
+        notes=["", f"async front end held {held} concurrent connections in one process"],
+    )
+    if threaded := [c for c in connections if c <= thread_cap]:
+        c = min(threaded)
+        a, t = (result.point(frontend=f, connections=c)["report"] for f in ("async", "threads"))
+        result.notes[-1] += (
+            f"; p99 at C={c}: async/threads = "
+            f"{a.total.p99_us / max(t.total.p99_us, 1e-9):.2f}x"
+        )
+    return result
 
 
 # --------------------------------------------------------------------- #
@@ -1246,6 +1027,8 @@ MP_M = 16
 MP_KSUB = 32
 MP_K = 10
 MP_NPROBE = 16
+#: Router-side batch window of the multiproc and chaos engines.
+MP_WAIT_US = 500.0
 
 #: Seconds-scale preset for CI smoke runs (``--workers`` + ``--quick``).
 MP_QUICK = {"n_base": 6_000, "d": 32, "nlist": 64, "m": 8, "ksub": 32,
@@ -1260,111 +1043,22 @@ def host_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class MultiprocConfigRow:
-    """One worker count's measured outcome."""
-
-    workers: int
-    report: LoadReport
-    #: Coarse-stage runs / queries planned at the router during the load
-    #: phase — the preselect-once evidence (queries must equal completed
-    #: requests *regardless of the worker count*).
-    preselect_batches: int
-    preselect_queries: int
-    #: Modeled on-wire bytes of one full-batch scatter to one worker:
-    #: preselect frame out, batched partial-top-K frame back.
-    scatter_bytes: int
-    #: Codes each worker reported scanning (sums to the single-process
-    #: scan count — shards partition the work, they don't repeat it).
-    worker_codes_scanned: list[int]
-
-    def cells(self) -> list:
-        """Row cells for the result table."""
-        r = self.report
-        return [
-            self.workers, r.achieved_qps, r.total.p50_us, r.total.p99_us,
-            r.mean_batch_size, self.preselect_batches,
-            self.preselect_queries, self.scatter_bytes,
-            sum(self.worker_codes_scanned),
-        ]
-
-
-@dataclass
-class MultiprocServeResult:
-    """Outcome of the worker-count sweep over the multi-process plane."""
-
-    rows: list[MultiprocConfigRow]
-    bit_identical: bool
-    coarse_once: bool
-    n_clients: int
-    n_requests: int
-    host_cpus: int
-
-    @property
-    def checks(self) -> dict[str, bool]:
-        """Named pass/fail checks; ``cli`` exits nonzero if any is False."""
-        return {"bit_identical": self.bit_identical, "coarse_once": self.coarse_once}
-
-    def row(self, workers: int) -> MultiprocConfigRow:
-        """The sweep point measured at ``workers`` processes."""
-        return _row(self.rows, workers=workers)
-
-    def speedup(self, workers: int) -> float:
-        """QPS at ``workers`` processes over the 1-worker point."""
-        return (
-            self.row(workers).report.achieved_qps
-            / max(self.row(1).report.achieved_qps, 1e-9)
-        )
-
-    def format(self) -> str:
-        """Human-readable sweep table plus the headline scaling numbers."""
-        table = format_table(
-            ["workers", "QPS", "p50_us", "p99_us", "mean_batch",
-             "coarse_runs", "planned_q", "scatter_B", "codes_scanned"],
-            [r.cells() for r in self.rows],
-            title=(
-                f"multiproc serve: closed loop, {self.n_clients} clients, "
-                f"{self.n_requests} requests/config, {self.host_cpus} host "
-                f"CPUs (bit-identical to direct search: {self.bit_identical}; "
-                f"coarse ran once per batch: {self.coarse_once})"
-            ),
-        )
-        lines = [table]
-        counts = sorted(r.workers for r in self.rows)
-        if len(counts) > 1 and counts[0] == 1:
-            top = counts[-1]
-            lines.append(
-                f"\n\n{top} workers: {self.speedup(top):.2f}x QPS of 1 worker "
-                f"on {self.host_cpus} CPUs"
-            )
-            if self.host_cpus < top:
-                lines.append(
-                    f" (host has fewer CPUs than workers — scaling is "
-                    f"GIL-relief only, not real parallelism)"
-                )
-        return "".join(lines)
-
-
 def run_multiproc(
-    ctx=None,
     *,
     workers: tuple[int, ...] = (1, 2, 4),
     n_clients: int = 8,
     n_requests: int = 240,
-    max_batch: int = 16,
-    max_wait_us: float = 500.0,
     n_base: int = MP_N_BASE,
     d: int = MP_D,
     nlist: int = MP_NLIST,
     m: int = MP_M,
     ksub: int = MP_KSUB,
-    k: int = MP_K,
     nprobe: int = MP_NPROBE,
     seed: int = 0,
     trace_path: str | None = None,
     trace_sample: float = 1.0,
     metrics_out: str | None = None,
-) -> MultiprocServeResult:
+) -> BenchResult:
     """Measure the multi-process data plane across worker counts.
 
     One index is trained and saved to a temporary directory; every sweep
@@ -1374,8 +1068,7 @@ def run_multiproc(
     :class:`~repro.serve.scheduler.ServingEngine` over
     ``pool.sharded_backend(preselect=planner)`` — so every micro-batch
     is coarse-quantized once at the router and scattered as pruned cell
-    subsets, and the workers spend their CPUs purely on LUT + scan work
-    (ctx unused; the index is self-built).
+    subsets, and the workers spend their CPUs purely on LUT + scan work.
 
     Before timing, each sweep point's scatter answers are compared bit
     for bit against direct ``IVFPQIndex.search``; after timing, the
@@ -1398,7 +1091,7 @@ def run_multiproc(
     worker_dropped = 0
     point_metrics: dict[str, dict] = {}
 
-    rows: list[MultiprocConfigRow] = []
+    points, rows = [], []
     bit_identical = True
     coarse_once = True
     with tempfile.TemporaryDirectory(prefix="repro-multiproc-") as tmp:
@@ -1407,10 +1100,11 @@ def run_multiproc(
             # Fresh planner per point: its stage counters are this
             # point's coarse-once evidence.
             planner = load_index_dir(tmp, mmap=True)
-            with WorkerPool(tmp, n, max_batch=max_batch) as pool:
+            with WorkerPool(tmp, n, max_batch=MAX_BATCH) as pool:
                 router = pool.sharded_backend(preselect=planner)
                 bit_identical &= _matches_search(
-                    index, queries, k, nprobe, router.search_batch(queries, k, nprobe)
+                    index, queries, MP_K, nprobe,
+                    router.search_batch(queries, MP_K, nprobe),
                 )
                 # Timing starts here: counter baselines exclude the
                 # verification pass above.
@@ -1420,13 +1114,13 @@ def run_multiproc(
                 c0 = [b.codes_scanned for b in router.shards]
                 with ServingEngine(
                     router,
-                    max_batch=max_batch,
-                    max_wait_us=max_wait_us,
+                    max_batch=MAX_BATCH,
+                    max_wait_us=MP_WAIT_US,
                     dispatchers=2,
                     tracer=tracer,
                 ) as engine:
                     report = run_closed_loop(
-                        engine, queries, k, nprobe,
+                        engine, queries, MP_K, nprobe,
                         n_clients=n_clients, n_requests=n_requests,
                     )
                 if tracer is not None or metrics_out is not None:
@@ -1452,22 +1146,33 @@ def run_multiproc(
                     planned_batches == router.preselect_scatters - s0
                     and planned_queries == report.n_completed
                 )
-                rows.append(
-                    MultiprocConfigRow(
-                        workers=n,
-                        report=report,
-                        preselect_batches=planned_batches,
-                        preselect_queries=planned_queries,
-                        scatter_bytes=(
-                            preselect_frame_bytes(max_batch, nprobe, d)
-                            + batch_result_frame_bytes(max_batch, k)
-                        ),
-                        worker_codes_scanned=[
-                            b.codes_scanned - c for b, c in
-                            zip(router.shards, c0)
-                        ],
-                    )
+                point = dict(
+                    workers=n,
+                    report=report,
+                    # Coarse runs / queries planned at the router while
+                    # timing: queries must equal completed requests at
+                    # every worker count (preselect-once).
+                    preselect_batches=planned_batches,
+                    preselect_queries=planned_queries,
+                    # Modeled on-wire bytes of one full-batch scatter to
+                    # one worker: preselect frame out, partial top-K back.
+                    scatter_bytes=(
+                        preselect_frame_bytes(MAX_BATCH, nprobe, d)
+                        + batch_result_frame_bytes(MAX_BATCH, MP_K)
+                    ),
+                    # Codes each worker scanned: shards partition the
+                    # single-process scan, they don't repeat it.
+                    worker_codes_scanned=[
+                        b.codes_scanned - c for b, c in zip(router.shards, c0)
+                    ],
                 )
+                points.append(point)
+                rows.append([
+                    n, report.achieved_qps, report.total.p50_us,
+                    report.total.p99_us, report.mean_batch_size,
+                    planned_batches, planned_queries, point["scatter_bytes"],
+                    sum(point["worker_codes_scanned"]),
+                ])
 
     if tracer is not None:
         write_chrome_trace(
@@ -1476,14 +1181,38 @@ def run_multiproc(
     if metrics_out is not None:
         _write_metrics(metrics_out, {"mode": "multiproc", "points": point_metrics})
 
-    return MultiprocServeResult(
-        rows=rows,
-        bit_identical=bit_identical,
-        coarse_once=coarse_once,
-        n_clients=n_clients,
-        n_requests=n_requests,
-        host_cpus=host_cpus(),
+    cpus = host_cpus()
+    result = BenchResult(
+        tables=[format_table(
+            ["workers", "QPS", "p50_us", "p99_us", "mean_batch",
+             "coarse_runs", "planned_q", "scatter_B", "codes_scanned"],
+            rows,
+            title=(
+                f"multiproc serve: closed loop, {n_clients} clients, "
+                f"{n_requests} requests/config, {cpus} host "
+                f"CPUs (bit-identical to direct search: {bit_identical}; "
+                f"coarse ran once per batch: {coarse_once})"
+            ),
+        )],
+        checks={"bit_identical": bit_identical, "coarse_once": coarse_once},
+        points=points,
+        summary={"host_cpus": cpus},
     )
+    counts = sorted(workers)
+    if len(counts) > 1 and counts[0] == 1:
+        top = counts[-1]
+        speedup = (
+            result.point(workers=top)["report"].achieved_qps
+            / max(result.point(workers=1)["report"].achieved_qps, 1e-9)
+        )
+        headline = f"{top} workers: {speedup:.2f}x QPS of 1 worker on {cpus} CPUs"
+        if cpus < top:
+            headline += (
+                " (host has fewer CPUs than workers — scaling is "
+                "GIL-relief only, not real parallelism)"
+            )
+        result.notes += ["", headline]
+    return result
 
 
 # --------------------------------------------------------------------- #
@@ -1493,118 +1222,6 @@ def run_multiproc(
 #: a respawned worker re-loads the saved index from page cache, which is
 #: fast, but CI hosts are slow and oversubscribed.
 CHAOS_RECOVER_TIMEOUT_S = 30.0
-
-
-@dataclass(frozen=True)
-class ChaosKillRow:
-    """One injected kill and its supervised recovery."""
-
-    shard: int
-    replica: int
-    #: Seconds into the load phase when SIGKILL was delivered.
-    t_kill_s: float
-    #: Whether the supervisor brought the slot back (False means the
-    #: retry budget ran out — never expected in a healthy chaos run).
-    recovered: bool
-    #: Spawn attempts the recovery took (1 = first respawn came up).
-    attempts: int
-    #: Microseconds from kill detection to the backend re-registered.
-    coverage_restored_us: float
-
-    def cells(self) -> list:
-        """Row cells for the result table."""
-        return [
-            f"{self.shard}.{self.replica}", f"{self.t_kill_s:.2f}",
-            "yes" if self.recovered else "NO", self.attempts,
-            f"{self.coverage_restored_us / 1e3:.1f}",
-        ]
-
-
-@dataclass
-class ChaosServeResult:
-    """Outcome of a kill/recover cycle under live closed-loop load."""
-
-    report: LoadReport
-    kills: list[ChaosKillRow]
-    replicas: int
-    shards: int
-    #: Fraction of completed requests answered with full shard coverage.
-    availability: float
-    partial_results: int
-    worker_restarts: int
-    coverage_lost: int
-    coverage_restored: int
-    bit_identical_before: bool
-    bit_identical_after: bool
-    #: Pids still running after ``pool.stop()`` — must be empty.
-    leaked_pids: list[int]
-    host_cpus: int
-    #: Per-kill ``coverage_lost -> coverage_restored`` gap measured from
-    #: the replica-scope event journal (microseconds, kill order).
-    recovery_pairs_us: list = field(default_factory=list)
-    #: First ``slo_alert`` ts minus the first replica ``coverage_lost``
-    #: ts — how long the burn-rate monitor took to notice the outage.
-    #: ``None`` when no timeline collector ran.
-    alert_latency_us: float | None = None
-    #: Total operational events captured in the journal.
-    journal_events: int = 0
-
-    @property
-    def all_recovered(self) -> bool:
-        """Every injected kill ended in a completed supervised restart."""
-        return all(k.recovered for k in self.kills)
-
-    @property
-    def checks(self) -> dict[str, bool]:
-        """Named pass/fail checks; ``cli`` exits nonzero if any is False."""
-        return {
-            "no_failed_requests": self.report.n_errors == 0,
-            "all_recovered": self.all_recovered,
-            "bit_identical_before": self.bit_identical_before,
-            "bit_identical_after": self.bit_identical_after,
-            "no_leaked_pids": not self.leaked_pids,
-        }
-
-    def format(self) -> str:
-        """Human-readable kill table plus the availability headline."""
-        r = self.report
-        table = format_table(
-            ["worker", "t_kill_s", "recovered", "attempts", "restore_ms"],
-            [k.cells() for k in self.kills],
-            title=(
-                f"chaos serve: {self.replicas}x{self.shards} "
-                f"(replicas x shards), {len(self.kills)} kills under load, "
-                f"{self.host_cpus} host CPUs"
-            ),
-        )
-        lines = [
-            table,
-            f"\n\nrequests: {r.n_completed} completed, {r.n_errors} failed, "
-            f"{self.partial_results} partial "
-            f"(availability {self.availability:.4f})",
-            f"\nlatency: p50 {r.total.p50_us:.0f}us, "
-            f"p99 {r.total.p99_us:.0f}us at {r.achieved_qps:.0f} QPS",
-            f"\ncoverage transitions: {self.coverage_lost} lost, "
-            f"{self.coverage_restored} restored; "
-            f"{self.worker_restarts} supervised restarts",
-            f"\nbit-identical to direct search: "
-            f"before={self.bit_identical_before} "
-            f"after={self.bit_identical_after}",
-        ]
-        if self.recovery_pairs_us:
-            gaps = ", ".join(f"{g / 1e3:.1f}" for g in self.recovery_pairs_us)
-            lines.append(
-                f"\njournal: {self.journal_events} events, "
-                f"coverage pair recovery [{gaps}] ms"
-            )
-            if self.alert_latency_us is not None:
-                lines.append(
-                    f", availability alert after "
-                    f"{self.alert_latency_us / 1e3:.1f} ms"
-                )
-        if self.leaked_pids:
-            lines.append(f"\nLEAKED PROCESSES: {self.leaked_pids}")
-        return "".join(lines)
 
 
 def _chaos_killer(
@@ -1655,26 +1272,22 @@ def _chaos_killer(
 
 
 def run_chaos(
-    ctx=None,
     *,
     replicas: int = 2,
     shards: int = 2,
     kills: int = 2,
     n_clients: int = 8,
     n_requests: int = 240,
-    max_batch: int = 16,
-    max_wait_us: float = 500.0,
     n_base: int = MP_N_BASE,
     d: int = MP_D,
     nlist: int = MP_NLIST,
     m: int = MP_M,
     ksub: int = MP_KSUB,
-    k: int = MP_K,
     nprobe: int = MP_NPROBE,
     seed: int = 0,
     metrics_out: str | None = None,
     timeline: str | None = None,
-) -> ChaosServeResult:
+) -> BenchResult:
     """Kill workers on a seeded schedule under live load; measure recovery.
 
     An R×S :class:`~repro.serve.workers.WorkerPool` (``replicas``
@@ -1701,7 +1314,7 @@ def run_chaos(
     of completed requests answered with every shard present.
 
     An :class:`~repro.obs.events.EventLog` journal is always attached to
-    the engine and supervisor, so the result carries per-kill
+    the engine and supervisor, so the summary carries per-kill
     time-to-recovery measured from the replica-scope
     ``coverage_lost -> coverage_restored`` event pairs.  With
     ``timeline`` set, a :class:`~repro.obs.timeline.TelemetryCollector`
@@ -1730,16 +1343,17 @@ def run_chaos(
         save_index_dir(index, tmp)
         planner = load_index_dir(tmp, mmap=True)
         with WorkerPool(
-            tmp, shards, replicas=replicas, max_batch=max_batch
+            tmp, shards, replicas=replicas, max_batch=MAX_BATCH
         ) as pool:
             router = pool.sharded_backend(
                 preselect=planner, on_shard_error="degrade"
             )
             bit_before = _matches_search(
-                index, queries, k, nprobe, router.search_batch(queries, k, nprobe)
+                index, queries, MP_K, nprobe,
+                router.search_batch(queries, MP_K, nprobe),
             )
             with ServingEngine(
-                router, max_batch=max_batch, max_wait_us=max_wait_us,
+                router, max_batch=MAX_BATCH, max_wait_us=MP_WAIT_US,
                 dispatchers=2, events=events,
             ) as engine:
                 pool.start_supervisor(metrics=engine.metrics, events=events)
@@ -1774,7 +1388,7 @@ def run_chaos(
                 killer.start()
                 try:
                     report = run_closed_loop(
-                        engine, queries, k, nprobe,
+                        engine, queries, MP_K, nprobe,
                         n_clients=n_clients, n_requests=n_requests,
                     )
                 except BaseException:
@@ -1795,7 +1409,8 @@ def run_chaos(
                         break
                     time.sleep(0.01)
                 bit_after = _matches_search(
-                    index, queries, k, nprobe, router.search_batch(queries, k, nprobe)
+                    index, queries, MP_K, nprobe,
+                    router.search_batch(queries, MP_K, nprobe),
                 )
                 if collector is not None:
                     collector.stop()
@@ -1833,57 +1448,91 @@ def run_chaos(
 
     # Pair kills with recoveries in order: one supervisor thread handles
     # them serially, and the killer waits each one out before the next.
-    rows: list[ChaosKillRow] = []
+    kills_out = []
     for i, (shard, replica, t_kill) in enumerate(kill_times):
         rec = pool.restart_log[i] if i < len(pool.restart_log) else None
-        rows.append(
-            ChaosKillRow(
-                shard=shard,
-                replica=replica,
-                t_kill_s=t_kill,
-                recovered=rec is not None,
-                attempts=rec.attempts if rec is not None else 0,
-                coverage_restored_us=(
-                    rec.coverage_restored_us if rec is not None else 0.0
-                ),
-            )
-        )
+        kills_out.append(dict(
+            shard=shard, replica=replica,
+            # Seconds into the load phase when SIGKILL was delivered.
+            t_kill_s=t_kill,
+            # False: the supervisor's retry budget ran out.
+            recovered=rec is not None,
+            attempts=rec.attempts if rec is not None else 0,
+            # Microseconds from kill detection to the backend re-registered.
+            coverage_restored_us=rec.coverage_restored_us if rec is not None else 0.0,
+        ))
 
     counters = snap.get("counters", {})
     partial = int(counters.get("partial", 0))
-    completed = max(report.n_completed, 1)
-    result = ChaosServeResult(
-        report=report,
-        kills=rows,
-        replicas=replicas,
-        shards=shards,
-        availability=1.0 - partial / completed,
-        partial_results=partial,
-        worker_restarts=int(counters.get("worker_restarts", 0)),
-        coverage_lost=int(counters.get("coverage_lost", 0)),
-        coverage_restored=int(counters.get("coverage_restored", 0)),
-        bit_identical_before=bit_before,
-        bit_identical_after=bit_after,
-        leaked_pids=leaked,
-        host_cpus=host_cpus(),
-        recovery_pairs_us=recovery_pairs_us,
-        alert_latency_us=alert_latency_us,
-        journal_events=len(journal),
-    )
+    # Result completeness: the share of completed requests answered
+    # with every shard present.
+    availability = 1.0 - partial / max(report.n_completed, 1)
+    restarts = int(counters.get("worker_restarts", 0))
     if timeline is not None and collector is not None:
         collector.dump_jsonl(timeline)
     if metrics_out is not None:
-        _write_metrics(
-            metrics_out,
-            {
-                "mode": "chaos",
-                "router": snap,
-                "availability": result.availability,
-                "recovery_pairs_us": recovery_pairs_us,
-                "alert_latency_us": alert_latency_us,
-            },
+        _write_metrics(metrics_out, {
+            "mode": "chaos", "router": snap, "availability": availability,
+            "recovery_pairs_us": recovery_pairs_us, "alert_latency_us": alert_latency_us,
+        })
+
+    cpus = host_cpus()
+    r = report
+    notes = [
+        "",
+        f"requests: {r.n_completed} completed, {r.n_errors} failed, "
+        f"{partial} partial (availability {availability:.4f})",
+        f"latency: p50 {r.total.p50_us:.0f}us, "
+        f"p99 {r.total.p99_us:.0f}us at {r.achieved_qps:.0f} QPS",
+        f"coverage transitions: {int(counters.get('coverage_lost', 0))} lost, "
+        f"{int(counters.get('coverage_restored', 0))} restored; "
+        f"{restarts} supervised restarts",
+        f"bit-identical to direct search: before={bit_before} after={bit_after}",
+    ]
+    if recovery_pairs_us:
+        gaps = ", ".join(f"{g / 1e3:.1f}" for g in recovery_pairs_us)
+        notes.append(
+            f"journal: {len(journal)} events, coverage pair recovery [{gaps}] ms"
         )
-    return result
+        if alert_latency_us is not None:
+            notes[-1] += f", availability alert after {alert_latency_us / 1e3:.1f} ms"
+    if leaked:
+        notes.append(f"LEAKED PROCESSES: {leaked}")
+    return BenchResult(
+        tables=[format_table(
+            ["worker", "t_kill_s", "recovered", "attempts", "restore_ms"],
+            [
+                [
+                    f"{k['shard']}.{k['replica']}", f"{k['t_kill_s']:.2f}",
+                    "yes" if k["recovered"] else "NO", k["attempts"],
+                    f"{k['coverage_restored_us'] / 1e3:.1f}",
+                ]
+                for k in kills_out
+            ],
+            title=(
+                f"chaos serve: {replicas}x{shards} "
+                f"(replicas x shards), {len(kills_out)} kills under load, "
+                f"{cpus} host CPUs"
+            ),
+        )],
+        checks={
+            "no_failed_requests": report.n_errors == 0,
+            "all_recovered": all(k["recovered"] for k in kills_out),
+            "bit_identical_before": bit_before,
+            "bit_identical_after": bit_after,
+            "no_leaked_pids": not leaked,
+        },
+        points=kills_out,
+        summary=dict(
+            report=report, availability=availability, partial_results=partial,
+            worker_restarts=restarts, leaked_pids=leaked,
+            # From the replica-scope journal: each kill's coverage_lost ->
+            # coverage_restored gap (us, kill order), and the first
+            # slo_alert after the first loss (None without a timeline).
+            recovery_pairs_us=recovery_pairs_us, alert_latency_us=alert_latency_us,
+        ),
+        notes=notes,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -2135,13 +1784,12 @@ def _validate_codesign(
 
     # (1) bit identity: zero-cost devices, whole pool, vs direct search.
     topo = spec.build(index, wrap=lambda v: SimulatedDeviceBackend(v, 0.0))
-    engine = ServingEngine(
+    with ServingEngine(
         topo, max_batch=design.max_batch, max_wait_us=2000.0,
         dispatchers=design.replicas,
-    )
-    bit_identical = _matches_search(
-        index, queries, k, nprobe, _serve_block(engine, queries, k, nprobe)
-    )
+    ) as engine:
+        served = _serve_block(engine, queries, k, nprobe)
+    bit_identical = _matches_search(index, queries, k, nprobe, served)
 
     # (2) saturation: closed loop against the scaled modeled capacity.
     topo = spec.build(index, wrap=modeled_device)
@@ -2208,7 +1856,6 @@ def _validate_codesign(
 
 
 def run_codesign(
-    ctx=None,
     *,
     traffic_path: str | None = None,
     slo_us: float | None = None,
@@ -2218,7 +1865,7 @@ def run_codesign(
     report_out: str | None = None,
     spec_out: str | None = None,
 ) -> CodesignServeResult:
-    """Run the serving co-design autotuner (ctx unused; self-built corpus).
+    """Run the serving co-design autotuner over a self-built corpus.
 
     Loads the traffic profile (``traffic_path`` JSON, else the built-in
     default), trains the nlist grid on an in-distribution clustered

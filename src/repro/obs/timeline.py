@@ -195,9 +195,6 @@ class TelemetryCollector:
         math survives scheduler jitter.
     capacity:
         Ring size; the timeline keeps the newest ``capacity`` ticks.
-    scrape_workers:
-        Whether to run the per-worker stats RPC each tick (off for a
-        pool-less engine; on by default when a pool is attached).
     """
 
     def __init__(
@@ -210,7 +207,6 @@ class TelemetryCollector:
         slo=None,
         interval_s: float = 0.1,
         capacity: int = 4_096,
-        scrape_workers: bool = True,
     ):
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
@@ -222,7 +218,6 @@ class TelemetryCollector:
         self.events = events
         self.slo = slo
         self.interval_s = float(interval_s)
-        self.scrape_workers = bool(scrape_workers)
         self._ring: deque[dict] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._stop_ev = threading.Event()
@@ -371,11 +366,7 @@ class TelemetryCollector:
             "availability", sum(alive) / len(alive) if alive else 1.0
         )
         tick["restarts"] = len(pool.restart_log)
-        if (
-            self.scrape_workers
-            and all(alive)
-            and tick.get("availability", 1.0) >= 1.0
-        ):
+        if all(alive) and tick.get("availability", 1.0) >= 1.0:
             # Scrape workers only at full liveness: a stats RPC to a
             # mid-restart backend can block until its respawn finishes,
             # which would starve the tick cadence exactly when the

@@ -51,6 +51,10 @@ __all__ = [
 #: Percentiles every latency summary reports.
 PERCENTILES = (50.0, 95.0, 99.0)
 
+#: Samples each latency series keeps (whole-run, per-tenant and
+#: per-class alike): about 0.5 MiB of Python floats once full.
+RESERVOIR_SIZE = 16_384
+
 
 class ReservoirSample:
     """Fixed-size uniform sample of a stream (Vitter's Algorithm R).
@@ -238,54 +242,37 @@ class MetricsRegistry:
     Counters in use by the engine: ``completed``, ``shed``, ``errors``,
     ``cache_hits``, ``cache_misses``, ``batches``.
 
-    ``reservoir_size`` bounds each latency series.  A series is a seeded
-    :class:`ReservoirSample` — a *uniform lifetime* sample, not a
-    sliding window — so percentile snapshots stay O(reservoir_size) in
-    memory on soak runs while still estimating the whole run's
+    Every latency series holds at most :data:`RESERVOIR_SIZE` samples.
+    A series is a seeded :class:`ReservoirSample` — a *uniform lifetime*
+    sample, not a sliding window — so a long-lived engine's memory stays
+    flat while percentile snapshots still estimate the whole run's
     distribution (counts and maxima stay exact).  ``seed`` makes the
     reservoir's replacement choices deterministic; each series derives
     its own sub-seed from its name, so creation order does not matter.
 
-    The per-tenant / per-class breakdowns are bounded on both axes:
-    ``breakdown_reservoir_size`` caps each key's latency sample and
-    ``max_tracked_keys`` caps key cardinality per breakdown — tenant
-    names can be client-supplied, and an unbounded dict of samples in a
-    long-lived engine is a leak.  Past the cap, new keys fold into the
+    The per-tenant / per-class breakdowns are bounded on both axes: each
+    key's sample has the same cap, and ``max_tracked_keys`` caps key
+    cardinality per breakdown — tenant names can be client-supplied, and
+    an unbounded dict of samples in a long-lived engine is a leak.  Past the cap, new keys fold into the
     ``"(other)"`` bucket (totals stay correct; only attribution coarsens).
     """
 
     #: Overflow bucket for breakdown keys past ``max_tracked_keys``.
     OVERFLOW_KEY = "(other)"
 
-    def __init__(
-        self,
-        reservoir_size: int = 1_000_000,
-        *,
-        breakdown_reservoir_size: int = 16_384,
-        max_tracked_keys: int = 256,
-        seed: int = 0,
-    ) -> None:
-        if reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be >= 1, got {reservoir_size}")
-        if breakdown_reservoir_size < 1:
-            raise ValueError(
-                f"breakdown_reservoir_size must be >= 1, got "
-                f"{breakdown_reservoir_size}"
-            )
+    def __init__(self, *, max_tracked_keys: int = 256, seed: int = 0) -> None:
         if max_tracked_keys < 1:
             raise ValueError(
                 f"max_tracked_keys must be >= 1, got {max_tracked_keys}"
             )
         self._lock = threading.Lock()
-        self._reservoir_size = reservoir_size
-        self._breakdown_size = breakdown_reservoir_size
         self._max_keys = max_tracked_keys
         self._seed = seed
         self._counters: Counter[str] = Counter()
         self._gauges: dict[str, float] = {}
-        self._total_us = self._reservoir("total", reservoir_size)
-        self._queue_us = self._reservoir("queue", reservoir_size)
-        self._exec_us = self._reservoir("exec", reservoir_size)
+        self._total_us = self._reservoir("total")
+        self._queue_us = self._reservoir("queue")
+        self._exec_us = self._reservoir("exec")
         self._batch_sizes: Counter[int] = Counter()
         self._tenant_total: dict[str, ReservoirSample] = {}
         self._tenant_counters: dict[str, Counter[str]] = {}
@@ -340,10 +327,10 @@ class MetricsRegistry:
             self._tenant_counters[tenant] = counters
         return counters
 
-    def _reservoir(self, name: str, capacity: int) -> ReservoirSample:
+    def _reservoir(self, name: str) -> ReservoirSample:
         """Series reservoir with a name-derived sub-seed (order-independent)."""
         return ReservoirSample(
-            capacity, seed=self._seed ^ zlib.crc32(name.encode("utf-8"))
+            RESERVOIR_SIZE, seed=self._seed ^ zlib.crc32(name.encode("utf-8"))
         )
 
     def _series_locked(
@@ -351,7 +338,7 @@ class MetricsRegistry:
     ) -> ReservoirSample:
         series = store.get(key)
         if series is None:
-            series = self._reservoir(key, self._breakdown_size)
+            series = self._reservoir(key)
             store[key] = series
         return series
 

@@ -656,7 +656,6 @@ def build_topology(
     shards: int = 1,
     policy: str = "least-loaded",
     wrap=None,
-    parallel_scatter: bool | None = None,
     seed: int = 0,
     warm: bool = False,
 ):
@@ -672,9 +671,9 @@ def build_topology(
 
     ``wrap``, when given, is applied to every leaf index view (e.g.
     ``SimulatedDeviceBackend`` to model device service time).
-    ``parallel_scatter`` defaults to True exactly when ``wrap`` is set —
-    wrapped leaves are assumed to block on modeled time that should
-    overlap across shards.  ``warm=True`` runs :func:`warm_topology` on
+    Shards scatter in parallel exactly when ``wrap`` is set — wrapped
+    leaves are assumed to block on modeled time that should overlap
+    across shards.  ``warm=True`` runs :func:`warm_topology` on
     the assembled grid so no first query pays for packing buffered adds
     or loading the scan kernel.
     """
@@ -682,8 +681,6 @@ def build_topology(
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    if parallel_scatter is None:
-        parallel_scatter = wrap is not None
 
     def leaves(shard_view: IVFPQIndex) -> list:
         """R wrapped replica views of one shard."""
@@ -704,7 +701,7 @@ def build_topology(
         # scatters of S tasks each can be in flight at once.
         topo = ShardedBackend(
             columns,
-            parallel=parallel_scatter,
+            parallel=wrap is not None,
             scatter_workers=max(replicas, 4) * shards,
         )
     if warm:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.cli import EXPERIMENTS, main
+from repro.harness.serve_bench import BenchResult
 
 
 class TestCLI:
@@ -204,14 +205,6 @@ FLAG_ARGV = {
 }
 
 
-class _StubResult:
-    def __init__(self, checks=None):
-        self.checks = checks or {}
-
-    def format(self) -> str:
-        return "stub result"
-
-
 @pytest.fixture
 def stub_runners(monkeypatch):
     """Replace every serve-bench/codesign runner; returns the call log."""
@@ -221,7 +214,7 @@ def stub_runners(monkeypatch):
     for runner in MODE_RUNNER.values():
         def fake(*args, _name=runner, **kwargs):
             calls.append((_name, kwargs))
-            return _StubResult()
+            return BenchResult(tables=["stub result"], checks={})
         monkeypatch.setattr(serve_bench, runner, fake)
     return calls
 
@@ -303,11 +296,13 @@ class TestVerdict:
     def test_failed_check_exits_nonzero(self, monkeypatch, capsys):
         from repro.harness import serve_bench
 
-        monkeypatch.setattr(
-            serve_bench, "run",
-            lambda **kw: _StubResult({"bit_identical": False, "other": True}),
+        failed = BenchResult(
+            tables=["failed result"],
+            checks={"bit_identical": False, "other": True},
+            notes=["", "headline"],
         )
+        monkeypatch.setattr(serve_bench, "run", lambda **kw: failed)
         assert main(["serve-bench"]) == 1
         captured = capsys.readouterr()
-        assert "stub result" in captured.out
+        assert "failed result\n\nheadline" in captured.out
         assert "check failed: bit_identical" in captured.err

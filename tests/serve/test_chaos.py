@@ -362,31 +362,33 @@ class TestChaosHarness:
             timeline=str(timeline),
         )
         # Zero failed requests, every kill recovered, answers exact.
-        assert res.report.n_errors == 0
-        assert res.report.n_completed == 160
-        assert len(res.kills) == 2
-        assert res.all_recovered
-        assert res.worker_restarts == 2
-        assert res.bit_identical_before and res.bit_identical_after
-        assert res.leaked_pids == []
+        report = res.summary["report"]
+        assert report.n_errors == 0
+        assert report.n_completed == 160
+        assert len(res.points) == 2
+        assert res.checks["all_recovered"]
+        assert res.summary["worker_restarts"] == 2
+        assert res.checks["bit_identical_before"] and res.checks["bit_identical_after"]
+        assert res.summary["leaked_pids"] == []
         assert all(res.checks.values())
         # R=2 over one shard: failover keeps full coverage the whole
         # time, so availability is exactly 1.
-        assert res.partial_results == 0
-        assert res.availability == 1.0
-        for kill in res.kills:
-            assert 0 < kill.coverage_restored_us < RECOVER_S * 1e6
+        assert res.summary["partial_results"] == 0
+        assert res.summary["availability"] == 1.0
+        for kill in res.points:
+            assert 0 < kill["coverage_restored_us"] < RECOVER_S * 1e6
         assert "chaos serve" in res.format()
         # Telemetry-plane contract: the journal captured each kill as a
         # coverage_lost -> coverage_restored pair whose measured gap
         # matches the supervisor's own recovery clock; the SLO monitor
         # fired an availability alert inside an outage window; and the
         # dumped timeline passes the CI validator.
-        assert len(res.recovery_pairs_us) == 2
-        for gap_us, kill in zip(res.recovery_pairs_us, res.kills):
-            assert abs(gap_us - kill.coverage_restored_us) < 25_000
-        assert res.alert_latency_us is not None
-        assert res.alert_latency_us >= 0
+        pairs = res.summary["recovery_pairs_us"]
+        assert len(pairs) == 2
+        for gap_us, kill in zip(pairs, res.points):
+            assert abs(gap_us - kill["coverage_restored_us"]) < 25_000
+        assert res.summary["alert_latency_us"] is not None
+        assert res.summary["alert_latency_us"] >= 0
         assert "journal:" in res.format()
         assert check_timeline.validate(
             timeline, expect_restarts=2, expect_alert=True
@@ -400,8 +402,8 @@ class TestChaosHarness:
         )
         a = run_chaos(**kwargs)
         b = run_chaos(**kwargs)
-        assert [(k.shard, k.replica) for k in a.kills] == [
-            (k.shard, k.replica) for k in b.kills
+        assert [(k["shard"], k["replica"]) for k in a.points] == [
+            (k["shard"], k["replica"]) for k in b.points
         ]
 
     def test_validation(self):

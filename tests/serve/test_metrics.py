@@ -115,8 +115,6 @@ class TestTenantAndClassBreakdowns:
 
     def test_breakdown_validation(self):
         import pytest
-        with pytest.raises(ValueError, match="breakdown_reservoir_size"):
-            MetricsRegistry(breakdown_reservoir_size=0)
         with pytest.raises(ValueError, match="max_tracked_keys"):
             MetricsRegistry(max_tracked_keys=0)
 
@@ -203,6 +201,23 @@ class TestReservoirSample:
             m.observe_request(float(i), float(i), 2.0 * i)
         snap = m.snapshot()
         assert snap.queue.p50_us != snap.total.p50_us
+
+    def test_every_series_is_capped(self):
+        """The whole-run series keep at most RESERVOIR_SIZE samples, like
+        the per-tenant ones, while count and max stay exact."""
+        from repro.serve.metrics import RESERVOIR_SIZE
+
+        assert RESERVOIR_SIZE == 16_384
+        m = MetricsRegistry()
+        n = 20_000
+        for i in range(n):
+            m.observe_request(float(i), 2.0 * i, 3.0 * i, tenant="a")
+        for series in (m._total_us, m._queue_us, m._exec_us, m._tenant_total["a"]):
+            assert len(series.values()) == RESERVOIR_SIZE
+        snap = m.snapshot()
+        for stats, scale in ((snap.queue, 1.0), (snap.exec, 2.0), (snap.total, 3.0)):
+            assert stats.count == n
+            assert stats.max_us == scale * (n - 1)
 
 
 class TestThreadedConsistency:
