@@ -1076,11 +1076,10 @@ def run_multiproc(
     dispatched batch and one planned query per completed request.
 
     With ``trace_path`` the router-side engine traces sampled requests
-    end to end; after each sweep point the workers' span buffers are
-    drained over the stats frame and merged into one Chrome/Perfetto
-    trace whose worker lanes carry the worker pids.  With
-    ``metrics_out`` each point dumps the router registry plus every
-    worker's scraped registry snapshot.
+    end to end; each worker's spans come back on its batch-result frame,
+    so the router's tracer holds one Chrome/Perfetto trace whose worker
+    lanes carry the worker pids.  With ``metrics_out`` each point dumps
+    the router registry plus every worker's scraped registry snapshot.
     """
     if any(w < 1 for w in workers):
         raise ValueError(f"worker counts must be >= 1, got {workers}")
@@ -1088,7 +1087,6 @@ def run_multiproc(
         n_base=n_base, d=d, nlist=nlist, m=m, ksub=ksub, seed=seed
     )
     tracer = Tracer(sample_rate=trace_sample, seed=seed) if trace_path is not None else None
-    worker_dropped = 0
     point_metrics: dict[str, dict] = {}
 
     points, rows = [], []
@@ -1100,7 +1098,7 @@ def run_multiproc(
             # Fresh planner per point: its stage counters are this
             # point's coarse-once evidence.
             planner = load_index_dir(tmp, mmap=True)
-            with WorkerPool(tmp, n, max_batch=MAX_BATCH) as pool:
+            with WorkerPool(tmp, n) as pool:
                 router = pool.sharded_backend(preselect=planner)
                 bit_identical &= _matches_search(
                     index, queries, MP_K, nprobe,
@@ -1123,15 +1121,9 @@ def run_multiproc(
                         engine, queries, MP_K, nprobe,
                         n_clients=n_clients, n_requests=n_requests,
                     )
-                if tracer is not None or metrics_out is not None:
-                    # Scrape the workers while they are still alive:
-                    # drain any spans not already piggybacked on result
-                    # frames, and collect each worker's registry.
-                    scrape = pool.stats(drain_spans=tracer is not None)
-                    if tracer is not None:
-                        for w in scrape["workers"]:
-                            tracer.ingest(w.get("spans") or ())
-                            worker_dropped += int(w.get("dropped_spans", 0))
+                if metrics_out is not None:
+                    # Scrape the workers' registries while they are alive.
+                    scrape = pool.stats()
                     point_metrics[f"workers={n}"] = {
                         "router": engine.metrics.snapshot().to_dict(),
                         "workers": [
@@ -1175,9 +1167,7 @@ def run_multiproc(
                 ])
 
     if tracer is not None:
-        write_chrome_trace(
-            trace_path, tracer.spans(), dropped=tracer.dropped + worker_dropped
-        )
+        write_chrome_trace(trace_path, tracer.spans(), dropped=tracer.dropped)
     if metrics_out is not None:
         _write_metrics(metrics_out, {"mode": "multiproc", "points": point_metrics})
 
@@ -1342,9 +1332,7 @@ def run_chaos(
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         save_index_dir(index, tmp)
         planner = load_index_dir(tmp, mmap=True)
-        with WorkerPool(
-            tmp, shards, replicas=replicas, max_batch=MAX_BATCH
-        ) as pool:
+        with WorkerPool(tmp, shards, replicas=replicas) as pool:
             router = pool.sharded_backend(
                 preselect=planner, on_shard_error="degrade"
             )

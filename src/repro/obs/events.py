@@ -15,10 +15,12 @@ Design mirrors the tracer's buffer (the same constraints apply):
   test.
 - **Bounded.**  The buffer holds at most ``capacity`` records; overflow
   increments :attr:`EventLog.dropped` and discards, never grows.
-- **Cross-process mergeable.**  Records carry their emitting ``pid``;
-  worker-side journals drain over the stats frame pair and the router
-  :meth:`EventLog.ingest`\\ s them into one merged journal (see
-  ``WorkerPool.stats(drain_events=True)``).
+- **Cross-process mergeable.**  Records carry their emitting ``pid``; a
+  front-end server's journal drains over the stats frame pair (the
+  ``drain_events`` flag) and :meth:`EventLog.ingest` merges such records
+  into one journal.  Shard workers keep no journal: admission and
+  recovery, and so every event they would record, live in the router
+  process.
 
 Record shape::
 

@@ -8,8 +8,8 @@ the **during-the-run** view:
 - :class:`TelemetryCollector` — a background thread that scrapes the
   engine's :class:`~repro.serve.metrics.MetricsRegistry`, the routing
   tier's :class:`~repro.serve.routing.ReplicaSet` dispatch/liveness
-  state, ``WorkerPool.stats()`` (over the existing stats-frame scrape,
-  which also drains worker-side event journals), the supervisor's
+  state, ``WorkerPool.stats()`` (over the existing stats-frame scrape:
+  each worker's pid and ``completed`` query count), the supervisor's
   ``restart_log``, and the per-tenant QoS counters into a bounded
   ring-buffered time-series.  Ticks are stamped with
   :func:`repro.obs.trace.now_us` — the same host-wide monotonic epoch
@@ -176,8 +176,7 @@ class TelemetryCollector:
     pool:
         Optional :class:`~repro.serve.workers.WorkerPool`.  Adds process
         liveness, the supervisor's restart count, and a per-worker stats
-        scrape; worker-side event journals drain back on the same stats
-        frames and are merged into ``events``.
+        scrape (pid and queries ``completed``).
     router:
         Optional :class:`~repro.serve.routing.ShardedBackend` (or any
         object with a ``shards`` list).  Shards that are
@@ -186,8 +185,8 @@ class TelemetryCollector:
         gauge — the router's mark_down/mark_up flags span the full
         outage, unlike process liveness which recovers at respawn.
     events:
-        Optional :class:`~repro.obs.events.EventLog`: the journal worker
-        events merge into and SLO transitions are emitted to.
+        Optional :class:`~repro.obs.events.EventLog`: the journal SLO
+        transitions are emitted to.
     slo:
         Optional :class:`SLOMonitor` evaluated on every tick.
     interval_s:
@@ -372,12 +371,9 @@ class TelemetryCollector:
             # which would starve the tick cadence exactly when the
             # timeline matters most (during an outage).
             try:
-                scrape = pool.stats(drain_events=self.events is not None)
+                scrape = pool.stats()
             except Exception:
                 return  # a worker died mid-scrape; next tick recovers
-            worker_events = scrape.pop("events", None)
-            if worker_events and self.events is not None:
-                self.events.ingest(worker_events)
             tick["workers"] = [
                 {
                     "pid": w.get("pid"),

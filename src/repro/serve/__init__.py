@@ -36,10 +36,11 @@ thousands of open connections over the same batching engine.
 The multi-process data plane lives in :mod:`repro.serve.workers`:
 :class:`WorkerPool` spawns one OS process per shard, each memory-mapping
 the same saved index directory read-only and serving the binary protocol,
-and :class:`RemoteBackend` plugs those worker sockets into
-:class:`ShardedBackend` — including the preselect-once scatter, where the
-router runs coarse quantization once per batch and ships each worker its
-pruned cell subset over a single preselect frame.
+and :class:`RemoteBackend` plugs those worker sockets into a
+:class:`ShardedBackend` with a router-side planner — the preselect-once
+scatter, where the router runs coarse quantization once per batch and
+ships each worker its pruned cell subset over a single preselect frame,
+the one request kind a worker serves.
 """
 
 from repro.serve.aio import (

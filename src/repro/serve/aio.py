@@ -61,7 +61,7 @@ from repro.net.wire import (
     FRAME_SEARCH,
     FRAME_STATS_REQUEST,
 )
-from repro.obs.trace import NOOP_SPAN, SpanContext
+from repro.obs.trace import NOOP_SPAN, SpanContext, Tracer
 from repro.serve.backends import BackendUnavailableError
 from repro.serve.protocol import (
     PreselectFrame,
@@ -82,6 +82,7 @@ from repro.serve.protocol import (
     read_frame,
     remote_exception,
 )
+from repro.serve.metrics import MetricsRegistry
 from repro.serve.qos import DEFAULT_TENANT
 from repro.serve.scheduler import ServeResult, ServingEngine
 
@@ -213,19 +214,21 @@ class AsyncServingEngine:
 class VectorSearchServer:
     """Socket front end: the binary protocol over ``asyncio.start_server``.
 
-    Each accepted connection runs one reader loop; each decoded search
-    frame becomes its own task awaiting the engine, so a single
-    connection can pipeline any number of requests and receives
-    responses in completion order (request ids correlate them).  A
-    client that disconnects mid-request cancels its in-flight tasks —
-    the queued engine requests are dropped at batch time, batch-mates
-    unaffected.
+    Each accepted connection runs one reader loop; each decoded request
+    frame becomes its own task, so a single connection can pipeline any
+    number of requests and receives responses in completion order
+    (request ids correlate them).  A client that disconnects mid-request
+    cancels its in-flight tasks — the queued engine requests are dropped
+    at batch time, batch-mates unaffected.
 
     Parameters
     ----------
-    engine : a :class:`ServingEngine` (wrapped automatically) or an
-        :class:`AsyncServingEngine`.  Start/stop of the engine stays
-        with the caller; the server only owns sockets.
+    engine : a :class:`ServingEngine` (wrapped automatically), an
+        :class:`AsyncServingEngine`, or ``None`` for a shard worker
+        (:mod:`repro.serve.workers`), which answers preselect and stats
+        frames only: a search frame drops the connection like any other
+        invalid client traffic.  Start/stop of the engine stays with the
+        caller; the server only owns sockets.
     host, port : listen address; port 0 picks a free port (see
         :attr:`address` after :meth:`start`).
     backlog : listen backlog — size it to the expected connection storm
@@ -239,21 +242,23 @@ class VectorSearchServer:
         batches bypass the engine's admission queue (they arrive
         pre-batched from a trusted router, not from open clients) and
         run on a dedicated single-thread executor, upholding the
-        index's single-searcher contract; give the engine its own
-        replica view (:func:`repro.ann.partition.replicate_index`) so
-        the two paths never share one index object.
+        index's single-searcher contract; a front end gives its engine
+        its own replica view (:func:`repro.ann.partition.replicate_index`)
+        so the two paths never share one index object.
 
-    **Connection metrics.**  The engine's metrics registry additionally
-    records this front end's per-connection traffic: the
-    ``connections_opened`` / ``frames_in`` / ``frames_out`` /
-    ``protocol_errors`` counters and the ``connections_open`` /
-    ``connections_peak`` gauges, all visible in
-    :meth:`~repro.serve.metrics.MetricsRegistry.snapshot`.
+    **Connection metrics.**  The engine's metrics registry (a worker's
+    own registry when there is no engine) additionally records this
+    server's per-connection traffic: the ``connections_opened`` /
+    ``frames_in`` / ``frames_out`` / ``protocol_errors`` counters and
+    the ``connections_open`` / ``connections_peak`` gauges, all visible
+    in :meth:`~repro.serve.metrics.MetricsRegistry.snapshot`.  A worker
+    also counts each answered preselect frame's queries as
+    ``completed``.
     """
 
     def __init__(
         self,
-        engine: ServingEngine | AsyncServingEngine,
+        engine: ServingEngine | AsyncServingEngine | None,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -261,9 +266,11 @@ class VectorSearchServer:
         preselect_backend=None,
         metrics_port: int | None = None,
     ):
+        if engine is None and preselect_backend is None:
+            raise ValueError("a server needs an engine or a preselect_backend")
         self.aengine = (
             engine
-            if isinstance(engine, AsyncServingEngine)
+            if engine is None or isinstance(engine, AsyncServingEngine)
             else AsyncServingEngine(engine)
         )
         self.host = host
@@ -278,8 +285,15 @@ class VectorSearchServer:
         #: without pulling in an HTTP stack.  Port 0 picks a free port
         #: (see :attr:`metrics_address`).
         self.metrics_port = metrics_port
-        #: The engine's registry; this front end adds connection traffic.
-        self.metrics = self.aengine.engine.metrics
+        # A front end shares its engine's registry and tracer.  A worker
+        # keeps its own; its tracer only continues the router's traced
+        # preselect frames (the sampling decision rides the wire).
+        if self.aengine is None:
+            self.metrics = MetricsRegistry()
+            self.tracer = Tracer(sample_rate=0.0)
+        else:
+            self.metrics = self.aengine.engine.metrics
+            self.tracer = self.aengine.engine.tracer
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         #: Open-connection registry: handler task -> its stream writer.
@@ -384,7 +398,7 @@ class VectorSearchServer:
                     break  # clean close
                 ftype, payload = frame
                 try:
-                    if ftype == FRAME_SEARCH:
+                    if ftype == FRAME_SEARCH and self.aengine is not None:
                         req, answer = decode_search(payload), self._search_reply
                     elif (
                         ftype == FRAME_PRESELECT
@@ -396,8 +410,8 @@ class VectorSearchServer:
                         req = decode_stats_request(payload)
                         answer = self._stats_reply
                     else:
-                        # Response frames (or preselect at a server not
-                        # configured for it) are not valid client traffic.
+                        # Response frames, and a request kind this server's
+                        # role does not serve, are not valid client traffic.
                         m.inc("protocol_errors")
                         break
                 except ProtocolError:
@@ -471,68 +485,70 @@ class VectorSearchServer:
         """Answer one preselect batch: scan off-loop, encode the result.
 
         The scan runs on the dedicated single-thread executor, so
-        concurrent preselect frames (and the engine's own dispatcher,
+        concurrent preselect frames (and a front end's own dispatcher,
         which owns a *different* replica view) never violate the
         index's single-searcher contract.
 
         A traced frame (one carrying a trace-context tail) continues the
         router's trace here: the scan runs under a ``worker_scan`` span
         (IVF stage timers nest beneath it), and this trace's spans ship
-        back piggybacked on the batch-result frame.
+        back piggybacked on the batch-result frame (drained even when
+        the scan fails, so nothing is left behind).
         """
         backend = self.preselect_backend
-        tracer = getattr(self.aengine.engine, "tracer", None)
+        tracer = self.tracer
         traced = tracer is not None and req.trace is not None
+        nq = int(req.queries_t.shape[0])
 
-        def scan() -> tuple[np.ndarray, np.ndarray, int, float]:
+        def scan() -> tuple[np.ndarray, np.ndarray, int, float, list | None]:
             stats = getattr(backend, "stats", None)
             c0 = stats.codes_scanned if stats is not None else 0
             span = (
-                tracer.continue_trace(
-                    req.trace, "worker_scan",
-                    args={"nq": int(req.queries_t.shape[0])},
-                )
+                tracer.continue_trace(req.trace, "worker_scan", args={"nq": nq})
                 if traced
                 else NOOP_SPAN
             )
             t0 = time.perf_counter()
-            with span:
-                ids, dists = backend.search_batch_preselected(
-                    req.queries_t, req.probed, req.k
-                )
+            try:
+                with span:
+                    ids, dists = backend.search_batch_preselected(
+                        req.queries_t, req.probed, req.k
+                    )
+            finally:
+                spans = tracer.drain(req.trace.trace_id) if traced else None
             exec_us = (time.perf_counter() - t0) * 1e6
             c1 = stats.codes_scanned if stats is not None else 0
-            return ids, dists, c1 - c0, exec_us
+            return ids, dists, c1 - c0, exec_us, spans
 
         loop = asyncio.get_running_loop()
-        ids, dists, codes, exec_us = await loop.run_in_executor(
+        ids, dists, codes, exec_us, spans = await loop.run_in_executor(
             self._preselect_executor(), scan
         )
-        spans = tracer.drain(req.trace.trace_id) if traced else None
+        if self.aengine is None:
+            self.metrics.inc("completed", nq)
         return encode_batch_result(
             req.request_id, ids, dists,
             exec_us=exec_us, codes_scanned=codes, spans=spans,
         )
 
     async def _stats_reply(self, req: StatsRequestFrame) -> bytes:
-        """Answer one metrics scrape: registry snapshot, optional spans.
+        """Answer one metrics scrape: registry snapshot, optional drains.
 
         The worker side of ``WorkerPool.stats()``: ships this process's
         full :class:`~repro.serve.metrics.MetricsRegistry` snapshot (plus
-        pid, so the scraper can label lanes) and — when the request asks
-        — drains the tracer's buffered spans into the reply, which is how
-        engine-path worker spans reach the router-side trace file.
+        pid, so the scraper can label lanes) and the tracer's dropped-span
+        count.  When the request asks, the tracer's buffered spans and
+        the engine's event journal drain into the reply.
         """
-        tracer = getattr(self.aengine.engine, "tracer", None)
         data: dict = {
             "pid": os.getpid(),
             "metrics": self.metrics.snapshot().to_dict(),
         }
-        if tracer is not None:
-            data["dropped_spans"] = tracer.dropped
+        if self.tracer is not None:
+            data["dropped_spans"] = self.tracer.dropped
             if req.drain_spans:
-                data["spans"] = tracer.drain()
-        events = getattr(self.aengine.engine, "events", None)
+                data["spans"] = self.tracer.drain()
+        events = self.aengine.engine.events if self.aengine is not None else None
         if events is not None and req.drain_events:
             data["events"] = events.drain()
             data["dropped_events"] = events.dropped

@@ -28,9 +28,10 @@ gated by a flag bit: an untraced frame is byte-identical to the
 pre-tracing layout, and the flag bit itself carries the head-sampling
 decision across the process boundary.  Traced scatters ship the
 worker-side spans back piggybacked on the batch-result frame (a
-length-prefixed JSON blob, also flag-gated); everything else a worker
-records drains through the stats frame pair, which doubles as the
-metrics-scrape channel for ``WorkerPool.stats()``.
+length-prefixed JSON blob, also flag-gated), which is every span a
+worker records.  The stats frame pair is the metrics-scrape channel for
+``WorkerPool.stats()``; its drain flags empty a front-end server's span
+buffer and event journal into the reply.
 
 Every payload starts with its u32 request id (:func:`request_id_of`
 reads it without decoding the rest).

@@ -16,10 +16,12 @@ Three pieces:
   (``python -m repro.serve.workers``): mmap the index directory, take
   shard ``i`` of ``n`` (:func:`repro.ann.partition.partition_index` —
   deterministic, so every process derives the same layout from the same
-  arguments), wrap it in a :class:`~repro.serve.scheduler.ServingEngine`
-  + :class:`~repro.serve.aio.VectorSearchServer`, print one JSON
-  readiness line on stdout, and serve until stdin closes (graceful) or
-  SIGTERM.
+  arguments), print one JSON readiness line on stdout, and serve it
+  until stdin closes (graceful) or SIGTERM.  Like a FANNS node, a
+  worker is one scan pipeline behind a socket: its engine-less
+  :class:`~repro.serve.aio.VectorSearchServer` takes planned batches
+  (preselect frames) and stats frames only; batching and admission stay
+  with the router.
 - :class:`WorkerPool` — the supervisor: spawns the R×S worker grid
   (S shards × R replicas per shard), performs the readiness handshake
   (bound port, dimensionality, shard size), detects crashed workers
@@ -29,18 +31,17 @@ Three pieces:
   the recovered backend), and shuts down gracefully by closing each
   worker's stdin before escalating to terminate/kill.
 - :class:`RemoteBackend` — the router-side client: a blocking socket
-  speaking the binary protocol, satisfying the uniform ``search_batch``
-  contract of :mod:`repro.serve.backends` so a
+  serving ``search_batch_preselected`` (one preselect frame out, one
+  batch-result frame back), so a planned
   :class:`~repro.serve.routing.ShardedBackend` scatter-gathers to worker
-  processes exactly as it does to in-process shards — including
-  **preselect-once scatter** (``search_batch_preselected`` over one
-  preselect frame) and degraded mode (a dead worker's socket errors
-  become coverage holes, not failed requests).
+  processes as it does to in-process shards — including degraded mode
+  (a dead worker's socket errors become coverage holes, not failures).
 
-**Invariant (bit-identical results).**  Workers run the same engine over
-:func:`partition_index` shard views of the same saved index, and
-ids/dists cross the wire as raw i64/f32 — a scatter-gathered answer
-equals single-process ``IVFPQIndex.search`` bit for bit.
+**Invariant (bit-identical results).**  Workers scan
+:func:`partition_index` shard views of the same saved index with the
+router's plan, and ids/dists cross the wire as raw i64/f32 — a
+scatter-gathered answer equals single-process ``IVFPQIndex.search`` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -61,21 +62,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.ann.io import load_index_dir
-from repro.ann.partition import partition_index, replicate_index, shard_cell_sizes
-from repro.net.wire import FRAME_BATCH_RESULT, FRAME_ERROR, FRAME_RESULT, FRAME_STATS
-from repro.obs.events import EventLog
+from repro.ann.partition import partition_index, prune_probed_cells, shard_cell_sizes
+from repro.net.wire import FRAME_BATCH_RESULT, FRAME_ERROR, FRAME_STATS
 from repro.obs.trace import Tracer, current_span
 from repro.serve.aio import VectorSearchServer
 from repro.serve.protocol import (
     HEADER_SIZE,
     ProtocolError,
-    RemoteServeError,
     decode_batch_result,
     decode_error,
-    decode_result,
     decode_stats,
     encode_preselect,
-    encode_search,
     encode_stats_request,
     parse_header,
     remote_exception,
@@ -83,7 +80,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.backends import BackendUnavailableError
 from repro.serve.routing import ReplicaSet, ShardedBackend
-from repro.serve.scheduler import ServingEngine
 
 __all__ = [
     "RemoteBackend",
@@ -105,30 +101,31 @@ RPC_TIMEOUT_S = 120.0
 RECONNECT_ATTEMPTS = 1
 #: Base sleep between reconnect attempts, doubled per attempt.
 RECONNECT_BACKOFF_S = 0.05
-#: Admission queue depth of a worker's engine (shed policy).
-WORKER_QUEUE_DEPTH = 8192
 
 
 class RemoteBackend:
     """Blocking protocol client for one shard worker's socket.
 
-    Satisfies the uniform ``search_batch`` backend contract (and the
-    preselect extension ``search_batch_preselected``), so routing tiers
-    treat a worker process exactly like an in-process shard.  One
-    connection, one outstanding exchange: calls are serialized on an
-    internal lock — the :class:`~repro.serve.routing.ShardedBackend`
-    scatter gives each shard its own thread, and socket I/O releases the
-    GIL, so S remote shards genuinely compute in parallel even though
-    each backend object is serial.
+    Serves the preselect extension of the backend contract,
+    ``search_batch_preselected`` (a worker takes plans only; there is no
+    plain ``search_batch``), so a
+    :class:`~repro.serve.routing.ShardedBackend` with a router-side
+    planner treats a worker process like an in-process shard.  One
+    connection, one outstanding exchange:
+    calls are serialized on an internal lock — the
+    :class:`~repro.serve.routing.ShardedBackend` scatter gives each
+    shard its own thread, and socket I/O releases the GIL, so S remote
+    shards genuinely compute in parallel even though each backend
+    object is serial.
 
     Parameters
     ----------
     host, port : the worker's bound address (from the pool handshake).
-    d : advertised query dimensionality (engine-side validation).
+    d : advertised query dimensionality.
     ntotal : advertised vector count (coverage weights).
-    cell_sizes : per-cell sizes of the worker's shard; when given, the
-        preselect path prunes each plan to the cells this shard can
-        actually contribute to (empty slots become ``-1`` on the wire).
+    cell_sizes : per-cell sizes of the worker's shard; when given, each
+        plan is pruned to the cells this shard can actually contribute
+        to (empty slots become ``-1`` on the wire).
 
     Every exchange times out after :data:`RPC_TIMEOUT_S` (a wedged
     worker fails the call; degraded mode turns that into a coverage
@@ -140,7 +137,7 @@ class RemoteBackend:
     :class:`~repro.serve.backends.BackendUnavailableError` after the
     retry budget, never as a raw socket exception, so replica failover
     and ``on_shard_error="degrade"`` always engage.  An error frame
-    answering a call raises the exception the worker's engine raised
+    answering a call raises the exception the worker's scan raised
     (:func:`~repro.serve.protocol.remote_exception`).
     """
 
@@ -164,7 +161,6 @@ class RemoteBackend:
         self._sock: socket.socket | None = None
         self._connect()
         #: Lifetime counters (observability; read without a lock).
-        self.calls = 0
         self.codes_scanned = 0
         self.reconnects = 0
 
@@ -205,7 +201,8 @@ class RemoteBackend:
             self.reconnects += 1
 
     def _exchange(self, body):
-        """Run one framed exchange with reconnect-on-transport-failure.
+        """Run ``body(rid)`` — one framed exchange under a fresh request
+        id — with reconnect-on-transport-failure.
 
         Serializes on the backend lock, dialing lazily.  Transport
         failures (socket errors and frame-alignment errors alike) drop
@@ -227,7 +224,9 @@ class RemoteBackend:
                 try:
                     if self._sock is None:
                         self._connect()
-                    return body()
+                    rid = self._rid
+                    self._rid = (rid + 1) & 0xFFFFFFFF
+                    return body(rid)
                 except TimeoutError as exc:
                     self._drop_socket()
                     raise BackendUnavailableError(
@@ -243,15 +242,11 @@ class RemoteBackend:
             ) from last
 
     def _read_exact(self, n: int) -> bytes:
-        """Read exactly ``n`` bytes or raise ``ConnectionResetError``."""
+        """Read exactly ``n`` bytes or raise ``ConnectionResetError``
+        (a socket timeout raises ``TimeoutError``)."""
         chunks = []
         while n:
-            try:
-                b = self._sock.recv(min(n, 1 << 20))
-            except socket.timeout:
-                raise TimeoutError(
-                    f"worker {self.host}:{self.port} did not answer in time"
-                ) from None
+            b = self._sock.recv(min(n, 1 << 20))
             if not b:
                 raise ConnectionResetError(
                     f"worker {self.host}:{self.port} closed the connection"
@@ -260,98 +255,29 @@ class RemoteBackend:
             n -= len(b)
         return b"".join(chunks)
 
-    def _read_frame(self) -> tuple[int, bytes]:
-        """Read one validated ``(frame_type, payload)`` (blocking)."""
-        ftype, length = parse_header(self._read_exact(HEADER_SIZE))
-        return ftype, self._read_exact(length)
-
-    def _replies(self, rids, ftype: int):
-        """Yield ``(rid, payload)`` as the reply to each of ``rids`` arrives.
+    def _reply(self, rid: int, ftype: int) -> bytes:
+        """The ``ftype`` payload answering ``rid``; raises an error reply.
 
         The one reply matcher of every exchange.  A frame carrying
         another request id is a stale reply to an earlier failed call
-        and is skipped, whatever its type.  An error frame answering one
-        of ``rids`` yields its mapped exception in place of the payload;
-        a frame of any other type than ``ftype`` answering one is a
-        :class:`ProtocolError`.
+        and is skipped, whatever its type.  An error frame answering
+        ``rid`` raises its mapped exception; a frame of any other type
+        than ``ftype`` answering it is a :class:`ProtocolError`.
         """
-        pending = set(rids)
-        while pending:
-            got, payload = self._read_frame()
-            rid = request_id_of(payload)
-            if rid not in pending:
+        while True:
+            got, length = parse_header(self._read_exact(HEADER_SIZE))
+            payload = self._read_exact(length)
+            if request_id_of(payload) != rid:
                 continue
-            pending.discard(rid)
             if got == FRAME_ERROR:
-                yield rid, remote_exception(decode_error(payload))
-            elif got != ftype:
+                raise remote_exception(decode_error(payload))
+            if got != ftype:
                 raise ProtocolError(
                     f"worker answered request {rid} with frame type 0x{got:02x}"
                 )
-            else:
-                yield rid, payload
-
-    def _reply(self, rid: int, ftype: int) -> bytes:
-        """The ``ftype`` payload answering ``rid``; raises an error reply."""
-        _, reply = next(self._replies([rid], ftype))
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    def _next_rids(self, n: int) -> list[int]:
-        """Allocate ``n`` request ids (caller holds the lock)."""
-        rids = [(self._rid + i) & 0xFFFFFFFF for i in range(n)]
-        self._rid = (self._rid + n) & 0xFFFFFFFF
-        return rids
+            return payload
 
     # ------------------------------------------------------------------ #
-    def search_batch(
-        self, queries: np.ndarray, k: int, nprobe: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve one batch remotely: pipelined search frames, one answer each.
-
-        All ``nq`` requests are written back to back (the worker's engine
-        coalesces them into micro-batches) and responses are collected by
-        request id.  A shed/quota/internal error on any request fails the
-        whole batch — after draining the remaining responses, so the
-        connection stays frame-aligned for the next call.
-        """
-        queries = np.atleast_2d(np.ascontiguousarray(queries, dtype=np.float32))
-        nq = queries.shape[0]
-        # A traced caller (an active span on this thread — the scatter's
-        # shard_rpc) rides every frame's trace-context tail, so the
-        # worker's engine continues the same trace on its side.
-        span = current_span()
-        ctx = span.context() if span else None
-
-        def body():
-            out_ids = np.empty((nq, k), dtype=np.int64)
-            out_dists = np.empty((nq, k), dtype=np.float32)
-            self.calls += 1
-            rids = self._next_rids(nq)
-            buf = bytearray()
-            for rid, q in zip(rids, queries):
-                buf += encode_search(rid, q, k, nprobe, trace=ctx)
-            self._sock.sendall(buf)
-            row = {rid: i for i, rid in enumerate(rids)}
-            first_err = None
-            for rid, reply in self._replies(rids, FRAME_RESULT):
-                if isinstance(reply, Exception):
-                    first_err = first_err or reply
-                    continue
-                res = decode_result(reply)
-                if res.ids.shape[0] != k:
-                    raise RemoteServeError(
-                        f"worker answered k={res.ids.shape[0]}, wanted {k}"
-                    )
-                out_ids[row[rid]] = res.ids
-                out_dists[row[rid]] = res.dists
-            if first_err is not None:
-                raise first_err
-            return out_ids, out_dists
-
-        return self._exchange(body)
-
     def search_batch_preselected(
         self, queries_t: np.ndarray, probed: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +289,6 @@ class RemoteBackend:
         data path (coarse quantization already happened, once, at the
         router).
         """
-        from repro.ann.partition import prune_probed_cells
-
         if self.cell_sizes is not None:
             probed = prune_probed_cells(probed, self.cell_sizes)
         # Propagate the active span (the scatter's shard_rpc) over the
@@ -372,9 +296,7 @@ class RemoteBackend:
         span = current_span()
         ctx = span.context() if span else None
 
-        def body():
-            self.calls += 1
-            (rid,) = self._next_rids(1)
+        def body(rid):
             self._sock.sendall(
                 encode_preselect(rid, queries_t, probed, k, trace=ctx)
             )
@@ -391,25 +313,15 @@ class RemoteBackend:
 
         return self._exchange(body)
 
-    def stats(self, *, drain_spans: bool = False, drain_events: bool = False) -> dict:
+    def stats(self) -> dict:
         """Scrape the worker's metrics snapshot over the stats frame pair.
 
         Returns the worker's JSON view: its pid, its full
-        :class:`~repro.serve.metrics.MetricsRegistry` snapshot, and —
-        with ``drain_spans`` — every span buffered in the worker's
-        tracer (engine-path spans of traced search frames, which have no
-        reply to piggyback on, drain through here).  ``drain_events``
-        likewise empties the worker's typed event journal into the reply
-        (``data["events"]``), which is how worker-side records reach the
-        router's merged :class:`~repro.obs.events.EventLog`.
+        :class:`~repro.serve.metrics.MetricsRegistry` snapshot and its
+        tracer's dropped-span count.
         """
-        def body():
-            (rid,) = self._next_rids(1)
-            self._sock.sendall(
-                encode_stats_request(
-                    rid, drain_spans=drain_spans, drain_events=drain_events
-                )
-            )
+        def body(rid):
+            self._sock.sendall(encode_stats_request(rid))
             return decode_stats(self._reply(rid, FRAME_STATS)).data
 
         return self._exchange(body)
@@ -420,6 +332,26 @@ class RemoteBackend:
         with self._lock:
             self._closed = True
             self._drop_socket()
+
+
+class _PoolRouter(ShardedBackend):
+    """The scatter over a pool's workers: every call ships a plan.
+
+    Workers scan plans only, and a plan needs ``nprobe``, so a call
+    without one is refused up front (in degrade mode too, where per-shard
+    failures would read as lost coverage).
+    """
+
+    def search_batch(
+        self, queries: np.ndarray, k: int, nprobe: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Scatter one planned batch (see :class:`ShardedBackend`)."""
+        if nprobe is None:
+            raise ValueError(
+                "a worker pool's router needs an explicit nprobe: workers "
+                "scan router-preselected plans only"
+            )
+        return super().search_batch(queries, k, nprobe)
 
 
 # --------------------------------------------------------------------- #
@@ -487,10 +419,12 @@ class WorkerPool:
     ``(index_dir, shard, n_workers)``, no index data ever crosses the
     control channel — each worker memory-maps the one physical copy.
 
-    :meth:`sharded_backend` wires the grid behind the routing tier: with
-    R > 1 each shard column becomes a :class:`~repro.serve.routing.ReplicaSet`
-    of :class:`RemoteBackend` clients, so a dead replica fails over
-    inside its column without costing coverage.
+    :meth:`sharded_backend` wires the grid behind the routing tier and
+    a router-side coarse planner (workers take preselect plans only):
+    with R > 1 each shard column becomes a
+    :class:`~repro.serve.routing.ReplicaSet` of :class:`RemoteBackend`
+    clients, so a dead replica fails over inside its column without
+    costing coverage.
 
     :meth:`start_supervisor` runs the recovery loop: poll for dead
     workers, respawn each with crash-loop backoff under a capped retry
@@ -502,15 +436,14 @@ class WorkerPool:
     ``coverage_restored_us`` land in the supervisor's metrics registry
     when one is given).
 
-    Each worker memory-maps the index, serves its engine with no batch
-    window (the router already batches) behind a
-    :data:`WORKER_QUEUE_DEPTH`-deep shed queue, and runs one BLAS
-    thread; ``max_batch`` caps its engine batch, ``startup_timeout_s``
-    bounds the readiness handshake, and every router↔worker exchange
-    times out after :data:`RPC_TIMEOUT_S`.
+    Each worker memory-maps the index, scans the router's batches one at
+    a time (batching and admission stay with the router) and runs one
+    BLAS thread; ``startup_timeout_s`` bounds the readiness handshake,
+    and every router↔worker exchange times out after
+    :data:`RPC_TIMEOUT_S`.
 
     Shutdown is graceful-first: :meth:`stop` closes each worker's stdin
-    (the worker drains its engine and exits 0), then escalates to
+    (the worker closes its server and exits 0), then escalates to
     SIGTERM and SIGKILL on the stragglers — including any half-started
     respawn the supervisor had in flight.  :meth:`kill` is the fault
     injector — SIGKILL mid-run, as a crash regression test needs — and
@@ -524,7 +457,6 @@ class WorkerPool:
         *,
         replicas: int = 1,
         host: str = "127.0.0.1",
-        max_batch: int = 64,
         startup_timeout_s: float = 120.0,
     ):
         if n_workers < 1:
@@ -540,7 +472,6 @@ class WorkerPool:
         self.n_workers = n_workers
         self.replicas = replicas
         self.host = host
-        self.max_batch = max_batch
         self.startup_timeout_s = startup_timeout_s
         #: Current occupant of each worker slot, shard-major
         #: (``wid = shard * replicas + replica``).
@@ -595,7 +526,6 @@ class WorkerPool:
             "--workers", str(self.n_workers),
             "--host", self.host,
             "--port", "0",
-            "--max-batch", str(self.max_batch),
         ]
 
     @staticmethod
@@ -734,7 +664,7 @@ class WorkerPool:
     def sharded_backend(
         self,
         *,
-        preselect=None,
+        preselect,
         on_shard_error: str = "raise",
         policy: str = "least-loaded",
         seed: int = 0,
@@ -742,10 +672,11 @@ class WorkerPool:
         """The routing tier over this pool's workers.
 
         ``preselect`` is the router-side coarse planner (typically
-        ``load_index_dir(pool.index_dir)`` — the same saved quantizers
-        the workers mmap); with it, every scatter ships the coarse plan
-        instead of raw coarse work.  Single-worker pools still go
-        through :class:`~repro.serve.routing.ShardedBackend` so the
+        ``load_index_dir(pool.index_dir, mmap=True)`` — the same saved
+        quantizers the workers mmap).  Every scatter ships its plan, the
+        one request kind a worker serves, so a call without ``nprobe``
+        raises ``ValueError``.  Single-worker pools still go through
+        :class:`~repro.serve.routing.ShardedBackend` so the
         preselect/degrade machinery behaves identically at every N.
 
         With ``replicas > 1`` each shard column becomes a
@@ -769,7 +700,7 @@ class WorkerPool:
                 for s in range(self.n_workers)
             ]
             shards = list(self._groups)
-        return ShardedBackend(
+        return _PoolRouter(
             shards,
             parallel=True,
             on_shard_error=on_shard_error,
@@ -780,40 +711,27 @@ class WorkerPool:
             preselect=preselect,
         )
 
-    def stats(self, *, drain_spans: bool = False, drain_events: bool = False) -> dict:
+    def stats(self) -> dict:
         """Aggregate every live worker's metrics scrape.
 
         Returns ``{"workers": [per-worker data...], "counters": {...}}``
         — the per-worker entries are each worker's own
-        :meth:`RemoteBackend.stats` view (pid, registry snapshot,
-        optionally drained spans) and ``counters`` sums the registries'
-        counters across workers.  With ``drain_events`` each worker's
-        event journal drains into the scrape and the records are merged,
-        timestamp-ordered, under a top-level ``"events"`` key (they share
-        the host-wide monotonic clock, so the merge is a plain sort).
+        :meth:`RemoteBackend.stats` view (pid, registry snapshot) and
+        ``counters`` sums the registries' counters across workers.
         Workers that fail to answer (crashed mid-scrape) are skipped
         rather than failing the whole scrape.
         """
         per: list[dict] = []
         for backend in self.backends():
             try:
-                per.append(
-                    backend.stats(drain_spans=drain_spans, drain_events=drain_events)
-                )
+                per.append(backend.stats())
             except OSError:
                 continue  # dead or wedged worker: scrape the survivors
         counters: dict[str, int] = {}
         for w in per:
             for name, val in (w.get("metrics", {}).get("counters") or {}).items():
                 counters[name] = counters.get(name, 0) + int(val)
-        out: dict = {"workers": per, "counters": counters}
-        if drain_events:
-            merged: list[dict] = []
-            for w in per:
-                merged.extend(w.pop("events", None) or ())
-            merged.sort(key=lambda r: r.get("ts", 0))
-            out["events"] = merged
-        return out
+        return {"workers": per, "counters": counters}
 
     # ------------------------------------------------------------------ #
     def poll(self) -> dict:
@@ -1086,7 +1004,7 @@ class WorkerPool:
     def stop(self, timeout_s: float = 10.0) -> None:
         """Stop every worker: stdin-close handshake, then escalate.
 
-        Closing stdin asks the worker to drain its engine and exit 0;
+        Closing stdin asks the worker to close its server and exit 0;
         workers still running after ``timeout_s`` get SIGTERM, then
         SIGKILL.  Idempotent, and safe to call with workers already
         dead (crashed workers are simply reaped) or with the supervisor
@@ -1153,33 +1071,17 @@ def _parse_worker_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--workers", type=int, required=True, help="total shards")
     parser.add_argument("--host", default="127.0.0.1", help="listen host")
     parser.add_argument("--port", type=int, default=0, help="listen port (0 = any)")
-    parser.add_argument("--max-batch", type=int, default=64, help="engine max batch")
     args = parser.parse_args(argv)
     if args.workers < 1 or not 0 <= args.shard < args.workers:
         parser.error(f"--shard must be in [0, --workers={args.workers})")
     return args
 
 
-async def _serve_until_stopped(engine_view, preselect_view, args) -> None:
-    """Run one worker's engine + server until stdin EOF or SIGTERM."""
-    engine = ServingEngine(
-        engine_view,
-        max_batch=args.max_batch,
-        max_wait_us=0.0,
-        policy="shed",
-        queue_depth=WORKER_QUEUE_DEPTH,
-        # sample_rate=0: the worker never originates traces, but it
-        # continues (and buffers spans for) traced frames from the
-        # router, whose sampling decision rides the wire.
-        tracer=Tracer(sample_rate=0.0),
-        # Worker-side journal: sheds and coverage transitions recorded
-        # here drain back on stats frames (drain_events) and merge into
-        # the router's EventLog on the shared monotonic clock.
-        events=EventLog(),
-    )
-    engine.start()
+async def _serve_until_stopped(shard, args) -> None:
+    """Serve one worker's shard (preselect and stats frames, no
+    engine) until stdin EOF or SIGTERM."""
     server = VectorSearchServer(
-        engine, args.host, args.port, preselect_backend=preselect_view
+        None, args.host, args.port, preselect_backend=shard
     )
     await server.start()
     host, port = server.address
@@ -1191,8 +1093,8 @@ async def _serve_until_stopped(engine_view, preselect_view, args) -> None:
                 "workers": args.workers,
                 "host": host,
                 "port": port,
-                "d": engine_view.d,
-                "ntotal": int(engine_view.ntotal),
+                "d": shard.d,
+                "ntotal": int(shard.ntotal),
             }
         ),
         flush=True,
@@ -1206,7 +1108,7 @@ async def _serve_until_stopped(engine_view, preselect_view, args) -> None:
             pass  # non-main thread / platform without signal support
 
     def watch_stdin() -> None:
-        # Supervisor shutdown handshake: stdin EOF means "drain and
+        # Supervisor shutdown handshake: stdin EOF means "close and
         # exit".  A daemon thread (not the default executor) does the
         # blocking read, so loop teardown never joins a stuck read.
         try:
@@ -1221,7 +1123,6 @@ async def _serve_until_stopped(engine_view, preselect_view, args) -> None:
     threading.Thread(target=watch_stdin, daemon=True).start()
     await stop_ev.wait()
     await server.stop()
-    await asyncio.to_thread(engine.stop)
 
 
 def worker_main(argv: list[str] | None = None) -> int:
@@ -1233,14 +1134,9 @@ def worker_main(argv: list[str] | None = None) -> int:
     else:
         shard = index
     # Load the scan kernel and build the term table before the handshake,
-    # so no request pays for them, and before the split below, so both
-    # views share one table.
+    # so no request pays for them.
     shard.warm_gather_cache()
-    # Two independent views over the same mmap'd storage: the engine's
-    # dispatcher thread and the preselect executor are separate
-    # searchers, and IVFPQIndex is single-searcher per view.
-    engine_view, preselect_view = replicate_index(shard, 2)
-    asyncio.run(_serve_until_stopped(engine_view, preselect_view, args))
+    asyncio.run(_serve_until_stopped(shard, args))
     return 0
 
 

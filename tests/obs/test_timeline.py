@@ -46,7 +46,7 @@ class FakePool:
         self.restart_log = list(restart_log)
         self._stats = stats
 
-    def stats(self, *, drain_spans=False, drain_events=False):
+    def stats(self):
         if self._stats is None:
             raise ConnectionError("worker gone")
         return dict(self._stats)
@@ -164,21 +164,21 @@ class TestCollectorTicks:
         assert tick["replicas_live"] == 2
         assert "workers" not in tick
 
-    def test_pool_scrape_merges_worker_events(self):
-        events = EventLog()
+    def test_pool_scrape_reads_worker_completed(self):
         pool = FakePool(
-            [True],
+            [True, True],
             stats={
                 "workers": [
-                    {"pid": 7, "metrics": {"counters": {"completed": 3}}}
+                    {"pid": 7, "metrics": {"counters": {"completed": 3}}},
+                    {"pid": 8, "metrics": {"counters": {}}},
                 ],
-                "events": [{"ts": 1, "type": "shed", "pid": 7}],
             },
         )
-        collector = TelemetryCollector(pool=pool, events=events)
+        collector = TelemetryCollector(pool=pool)
         tick = collector.tick()
-        assert tick["workers"] == [{"pid": 7, "completed": 3}]
-        assert [e["type"] for e in events.events()] == ["shed"]
+        assert tick["workers"] == [
+            {"pid": 7, "completed": 3}, {"pid": 8, "completed": 0},
+        ]
 
     def test_slo_observed_on_tick(self):
         events = EventLog()

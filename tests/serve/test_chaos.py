@@ -70,6 +70,12 @@ def saved_dir(corpus, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def planner(saved_dir):
+    """The router-side coarse planner every pool router needs."""
+    return load_index_dir(saved_dir, mmap=True)
+
+
 def _wait_recovered(pool, n, deadline_s=RECOVER_S):
     """Block until ``n`` supervised restarts completed and all slots live."""
     deadline = time.monotonic() + deadline_s
@@ -149,14 +155,14 @@ class TestSupervisedRecovery:
         )
 
     def test_replica_failover_keeps_coverage_during_recovery(
-        self, saved_dir, corpus
+        self, saved_dir, corpus, planner
     ):
         """R=2: killing one replica never drops coverage — the group
         fails over while the supervisor rebuilds the column."""
         index, queries = corpus
         ref_ids, ref_dists = index.search(queries, K, NPROBE)
         with WorkerPool(saved_dir, 2, replicas=2, startup_timeout_s=120) as pool:
-            router = pool.sharded_backend(on_shard_error="degrade")
+            router = pool.sharded_backend(preselect=planner, on_shard_error="degrade")
             pool.start_supervisor(poll_interval_s=0.01)
             pool.kill(0, 1)
             # Every answer during *and* after the outage is full
@@ -172,13 +178,15 @@ class TestSupervisedRecovery:
             ids, dists = router.search_batch(queries, K, NPROBE)
             np.testing.assert_array_equal(ids, ref_ids)
 
-    def test_repeated_kills_same_slot_recover_each_time(self, saved_dir, corpus):
+    def test_repeated_kills_same_slot_recover_each_time(
+        self, saved_dir, corpus, planner
+    ):
         """The supervisor is not one-shot: the same slot can die and
         recover repeatedly, and the restart log records each cycle."""
         index, queries = corpus
         ref = index.search(queries, K, NPROBE)
         with WorkerPool(saved_dir, 2, startup_timeout_s=120) as pool:
-            router = pool.sharded_backend(on_shard_error="degrade")
+            router = pool.sharded_backend(preselect=planner, on_shard_error="degrade")
             pool.start_supervisor(poll_interval_s=0.01)
             for round_no in range(1, 3):
                 pool.kill(1)
@@ -190,12 +198,12 @@ class TestSupervisedRecovery:
                 (1, 0), (1, 0)
             ]
 
-    def test_no_leaked_processes_or_sockets(self, saved_dir, corpus):
+    def test_no_leaked_processes_or_sockets(self, saved_dir, corpus, planner):
         """After stop(), every process ever spawned — original grid and
         mid-run respawns — is reaped, and every backend socket closed."""
         _, queries = corpus
         with WorkerPool(saved_dir, 2, replicas=2, startup_timeout_s=120) as pool:
-            router = pool.sharded_backend(on_shard_error="degrade")
+            router = pool.sharded_backend(preselect=planner, on_shard_error="degrade")
             pool.start_supervisor(poll_interval_s=0.01)
             pool.kill(1, 0)
             _wait_recovered(pool, 1)
@@ -210,7 +218,7 @@ class TestSupervisedRecovery:
 class TestEventJournal:
     """The journal and the supervisor's restart log must agree."""
 
-    def test_journal_matches_restart_log(self, saved_dir, corpus):
+    def test_journal_matches_restart_log(self, saved_dir, corpus, planner):
         """One ``worker_restart`` event per ``RestartRecord`` (same slot,
         exit code, attempts, recovery time), and each replica-scope
         ``coverage_lost -> coverage_restored`` pair brackets the same
@@ -220,7 +228,7 @@ class TestEventJournal:
         with WorkerPool(
             saved_dir, 2, replicas=2, startup_timeout_s=120
         ) as pool:
-            router = pool.sharded_backend(on_shard_error="degrade")
+            router = pool.sharded_backend(preselect=planner, on_shard_error="degrade")
             pool.start_supervisor(poll_interval_s=0.01, events=events)
             pool.kill(0, 1)
             _wait_recovered(pool, 1)
@@ -277,12 +285,12 @@ class _HangingCmd:
 
 
 class TestSupervisorEdgeCases:
-    def test_crash_loop_exhausts_retry_budget(self, saved_dir):
+    def test_crash_loop_exhausts_retry_budget(self, saved_dir, planner):
         """A worker that dies during every readiness handshake burns the
         capped retry budget, is recorded in restart_failures, and leaves
         the supervisor alive for other slots.  No zombies."""
         with WorkerPool(saved_dir, 2, startup_timeout_s=120) as pool:
-            pool.sharded_backend(on_shard_error="degrade")
+            pool.sharded_backend(preselect=planner, on_shard_error="degrade")
             pool._spawn_cmd = _ExitingCmd()
             pool.start_supervisor(
                 poll_interval_s=0.01, max_restarts=2, backoff_s=0.01
@@ -302,11 +310,13 @@ class TestSupervisorEdgeCases:
                 p.returncode is not None for p in pool.spawned_procs[2:]
             )
 
-    def test_respawn_then_immediate_death_retries_then_gives_up(self, saved_dir):
+    def test_respawn_then_immediate_death_retries_then_gives_up(
+        self, saved_dir, planner
+    ):
         """A respawn that handshakes fine but dies before the backend
         can reconnect goes around the crash loop, not into a wedge."""
         with WorkerPool(saved_dir, 2, startup_timeout_s=120) as pool:
-            pool.sharded_backend(on_shard_error="degrade")
+            pool.sharded_backend(preselect=planner, on_shard_error="degrade")
             pool._spawn_cmd = _ReadyThenExitCmd()
             pool.start_supervisor(
                 poll_interval_s=0.01, max_restarts=2, backoff_s=0.01
@@ -321,13 +331,13 @@ class TestSupervisorEdgeCases:
                 p.returncode is not None for p in pool.spawned_procs[2:]
             )
 
-    def test_stop_mid_restart_reaps_everything(self, saved_dir):
+    def test_stop_mid_restart_reaps_everything(self, saved_dir, planner):
         """stop() while the supervisor is blocked in a respawn handshake:
         the stop fence keeps any further spawn out, the shutdown sweep
         kills the half-started child (EOF-ing the handshake read), and
         stop returns promptly with nothing left running."""
         pool = WorkerPool(saved_dir, 2, startup_timeout_s=120).start()
-        pool.sharded_backend(on_shard_error="degrade")
+        pool.sharded_backend(preselect=planner, on_shard_error="degrade")
         pool._spawn_cmd = _HangingCmd()
         pool.start_supervisor(poll_interval_s=0.01, backoff_s=0.01)
         pool.kill(0)

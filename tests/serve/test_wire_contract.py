@@ -4,8 +4,9 @@ The asyncio reader (:func:`repro.serve.protocol.read_frame`) and the
 blocking :class:`~repro.serve.workers.RemoteBackend` reader must reject
 the same malformed streams; the error table must map an exception on the
 server to the same exception at :class:`~repro.serve.aio.AsyncClient`
-and at :class:`RemoteBackend`; and the module-level codec names the
-benchmark wraps to count frames must stay on the request path.
+and at :class:`RemoteBackend`; an engine-less (shard worker) server
+must serve preselect and stats frames only; and the module-level codec
+names the benchmark wraps to count frames must stay on the request path.
 
 Everything runs in-process: servers on a background event loop, fake
 workers on a thread, no worker processes.
@@ -25,6 +26,7 @@ import repro.serve.workers as workers
 from repro.ann.ivf import IVFPQIndex
 from repro.ann.partition import replicate_index
 from repro.data.synthetic import make_clustered
+from repro.obs.trace import Tracer
 from repro.net.wire import (
     FRAME_HEADER,
     FRAME_RESULT,
@@ -42,7 +44,7 @@ from repro.serve import (
     VectorSearchServer,
 )
 from repro.serve.backends import BackendUnavailableError
-from repro.serve.protocol import ProtocolError, read_frame
+from repro.serve.protocol import ProtocolError, encode_search, read_frame
 
 D = 8
 K = 3
@@ -65,7 +67,6 @@ TRUNCATED = {"eof_mid_header", "eof_mid_payload"}
 
 #: One call of each kind a RemoteBackend makes.
 CALLS = {
-    "search_batch": lambda b: b.search_batch(np.zeros((1, D), np.float32), K, NPROBE),
     "search_batch_preselected": lambda b: b.search_batch_preselected(
         np.zeros((1, D), np.float32), np.zeros((1, NPROBE), np.int32), K
     ),
@@ -148,14 +149,33 @@ class TestBothReadersRejectMalformedStreams:
         assert elapsed < 5.0
 
 
+def test_remote_backend_times_out_without_retry(monkeypatch):
+    """A worker that accepts but never answers is wedged, not gone: the
+    call fails once, typed, after the RPC timeout (no retry doubles the
+    stall)."""
+    monkeypatch.setattr(workers, "RPC_TIMEOUT_S", 0.3)
+    # The kernel completes the handshake on a listening socket nobody
+    # accepts from, so the request is sent and no reply ever comes.
+    with socket.create_server(("127.0.0.1", 0)) as lsock:
+        backend = RemoteBackend(*lsock.getsockname()[:2])
+        t0 = time.perf_counter()
+        with pytest.raises(BackendUnavailableError, match="did not answer") as info:
+            CALLS["stats"](backend)
+        elapsed = time.perf_counter() - t0
+        backend.close()
+    assert isinstance(info.value.__cause__, TimeoutError)
+    assert elapsed < 0.6  # a retry would take >= 0.3 + 0.05 + 0.3 s
+
+
 # --------------------------------------------------------------------- #
 # In-process servers for the blocking client.
 
 
 @contextmanager
 def served(backend, preselect_backend=None):
-    """A started engine + server on a background event loop; yields the
-    server's address."""
+    """A started server on a background event loop, yielded: a front end
+    with an engine over ``backend``, or an engine-less shard worker
+    server when ``backend`` is None."""
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
@@ -163,15 +183,20 @@ def served(backend, preselect_backend=None):
     def run(coro):
         return asyncio.run_coroutine_threadsafe(coro, loop).result(30)
 
-    engine = ServingEngine(backend, max_batch=4, policy="shed").start()
+    engine = (
+        ServingEngine(backend, max_batch=4, policy="shed").start()
+        if backend is not None
+        else None
+    )
     server = run(
         VectorSearchServer(engine, preselect_backend=preselect_backend).start()
     )
     try:
-        yield server.address
+        yield server
     finally:
         run(server.stop())
-        engine.stop()
+        if engine is not None:
+            engine.stop()
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
         loop.close()
@@ -218,7 +243,8 @@ def _check_mapped(exc: Exception, raised: Exception, want_type, want_msg) -> Non
 class TestErrorTable:
     def test_through_async_client(self, raised, want_type, want_msg):
         backend = RaisingBackend()
-        with served(backend) as (host, port):
+        with served(backend) as server:
+            host, port = server.address
 
             async def go():
                 async with await AsyncClient.connect(host, port) as client:
@@ -231,16 +257,17 @@ class TestErrorTable:
 
             _check_mapped(asyncio.run(go()), raised, want_type, want_msg)
 
-    @pytest.mark.parametrize("call", ["search_batch", "search_batch_preselected"])
+    @pytest.mark.parametrize("call", ["search_batch_preselected"])
     def test_through_remote_backend(self, raised, want_type, want_msg, call):
         backend = RaisingBackend()
-        with served(backend, preselect_backend=backend) as (host, port):
-            remote = RemoteBackend(host, port)
+        with served(None, preselect_backend=backend) as server:
+            remote = RemoteBackend(*server.address)
             backend.exc = raised
             with pytest.raises(want_type) as info:
                 CALLS[call](remote)
             _check_mapped(info.value, raised, want_type, want_msg)
-            # The failed call drained its replies: the next one answers.
+            # The failed call left the connection aligned: the next one
+            # answers.
             backend.exc = None
             ids, _ = CALLS[call](remote)
             assert ids.shape == (1, K)
@@ -264,14 +291,61 @@ class TestPreselectAlignment:
         bad = probed.copy()
         bad[0, 0] = index.nlist  # one past the last cell
         ref_ids, ref_dists = index.search(queries[:4], K, NPROBE)
-        with served(engine_view, preselect_backend=scan_view) as (host, port):
-            remote = RemoteBackend(host, port)
+        with served(engine_view, preselect_backend=scan_view) as server:
+            remote = RemoteBackend(*server.address)
             with pytest.raises(RemoteServeError, match="ValueError"):
                 remote.search_batch_preselected(queries_t, bad, K)
             ids, dists = remote.search_batch_preselected(queries_t, probed, K)
             remote.close()
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_array_equal(dists, ref_dists)
+
+
+class TestWorkerServer:
+    """An engine-less server is a shard worker: preselect and stats
+    frames only."""
+
+    def test_needs_an_engine_or_a_preselect_backend(self):
+        with pytest.raises(ValueError, match="preselect_backend"):
+            VectorSearchServer(None)
+
+    def test_search_frame_drops_the_connection(self, tiny_index):
+        index, queries = tiny_index
+        (scan_view,) = replicate_index(index, 1)
+        queries_t, probed = index.preselect(queries[:4], NPROBE)
+        with served(None, preselect_backend=scan_view) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(encode_search(1, queries[0], K, NPROBE))
+                assert sock.recv(1 << 16) == b""  # dropped, no reply
+            counters = server.metrics.snapshot().counters
+            assert counters["protocol_errors"] == 1
+            # The server itself keeps serving its one request kind.
+            remote = RemoteBackend(*server.address)
+            ids, _ = remote.search_batch_preselected(queries_t, probed, K)
+            assert ids.shape == (4, K)
+            assert remote.stats()["metrics"]["counters"]["completed"] == 4
+            remote.close()
+
+    def test_failed_traced_call_leaves_no_spans(self, tiny_index):
+        """A traced preselect whose scan raises ships no spans (an error
+        frame has no room for them) and strands none in the worker."""
+        index, queries = tiny_index
+        (scan_view,) = replicate_index(index, 1)
+        queries_t, probed = index.preselect(queries[:4], NPROBE)
+        bad = probed.copy()
+        bad[0, 0] = -5
+        router = Tracer(sample_rate=1.0, seed=0)
+        with served(None, preselect_backend=scan_view) as server:
+            remote = RemoteBackend(*server.address)
+            with router.start_trace("request"):
+                with pytest.raises(RemoteServeError, match="ValueError"):
+                    remote.search_batch_preselected(queries_t, bad, K)
+            with router.start_trace("request"):
+                remote.search_batch_preselected(queries_t, probed, K)
+            remote.close()
+            assert len(server.tracer) == 0
+        scans = [s for s in router.spans() if s["name"] == "worker_scan"]
+        assert len(scans) == 1
 
 
 class TestCodecHooks:
@@ -302,7 +376,8 @@ class TestCodecHooks:
 
         engine_view, scan_view, plan_view = replicate_index(index, 3)
         queries_t, probed = plan_view.preselect(queries[:4], NPROBE)
-        with served(engine_view, preselect_backend=scan_view) as (host, port):
+        with served(engine_view, preselect_backend=scan_view) as server:
+            host, port = server.address
 
             async def one_search():
                 async with await AsyncClient.connect(host, port) as client:

@@ -2,9 +2,9 @@
 
 Real subprocesses, real sockets: a :class:`WorkerPool` over a saved
 index directory must answer bit-identically to in-process search through
-both scatter paths (per-query search frames and the preselect-once
-frame), survive a SIGKILL'd worker in degraded mode with zero failed
-requests, and shut down gracefully on the stdin-close handshake.
+the preselect-once scatter (the one request kind a worker serves),
+survive a SIGKILL'd worker in degraded mode with zero failed requests,
+and shut down gracefully on the stdin-close handshake.
 """
 
 import numpy as np
@@ -72,14 +72,6 @@ class TestPoolLifecycle:
 
 
 class TestRemoteScatter:
-    def test_search_frames_bit_identical(self, pool, corpus):
-        index, queries = corpus
-        ref_ids, ref_dists = index.search(queries, K, NPROBE)
-        router = pool.sharded_backend()
-        ids, dists = router.search_batch(queries, K, NPROBE)
-        np.testing.assert_array_equal(ids, ref_ids)
-        np.testing.assert_array_equal(dists, ref_dists)
-
     def test_preselect_scatter_bit_identical(self, pool, saved_dir, corpus):
         index, queries = corpus
         ref_ids, ref_dists = index.search(queries, K, NPROBE)
@@ -88,6 +80,21 @@ class TestRemoteScatter:
         ids, dists = router.search_batch(queries, K, NPROBE)
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_array_equal(dists, ref_dists)
+
+    @pytest.mark.parametrize("on_shard_error", ["raise", "degrade"])
+    def test_router_without_nprobe_names_it(
+        self, pool, saved_dir, corpus, on_shard_error
+    ):
+        """Workers scan plans only, and a plan needs nprobe: a call
+        without one is refused up front, not read as lost coverage."""
+        _, queries = corpus
+        planner = load_index_dir(saved_dir, mmap=True)
+        router = pool.sharded_backend(
+            preselect=planner, on_shard_error=on_shard_error
+        )
+        with pytest.raises(ValueError, match="nprobe"):
+            router.search_batch(queries[:4], K)
+        assert router.shard_errors == [0, 0, 0]
 
     def test_coarse_runs_once_per_batch_at_router(self, pool, saved_dir, corpus):
         """The preselect-once contract: one coarse run per scatter at the
@@ -205,8 +212,9 @@ class TestReplicatedGrid:
         through each column via round-robin and compare all sweeps."""
         index, queries = corpus
         ref_ids, ref_dists = index.search(queries, K, NPROBE)
+        planner = load_index_dir(saved_dir, mmap=True)
         with WorkerPool(saved_dir, 2, replicas=2, startup_timeout_s=120) as pool:
-            router = pool.sharded_backend(policy="round-robin")
+            router = pool.sharded_backend(preselect=planner, policy="round-robin")
             for _ in range(2):  # lands on each replica column once
                 ids, dists = router.search_batch(queries, K, NPROBE)
                 np.testing.assert_array_equal(ids, ref_ids)
@@ -242,13 +250,15 @@ class TestTypedShardErrors:
         from repro.serve.backends import BackendUnavailableError
 
         _, queries = corpus
+        planner = load_index_dir(saved_dir, mmap=True)
+        queries_t, probed = planner.preselect(queries[:4], NPROBE)
         with WorkerPool(saved_dir, 2, startup_timeout_s=120) as pool:
-            router = pool.sharded_backend()
+            router = pool.sharded_backend(preselect=planner)
             pool.kill(1)
             dead = router.shards[1]
             for _ in range(2):  # connected socket first, then reconnect
                 with pytest.raises(BackendUnavailableError):
-                    dead.search_batch(queries[:4], K, NPROBE)
+                    dead.search_batch_preselected(queries_t, probed, K)
             assert isinstance(
                 BackendUnavailableError("x"), (ConnectionError, OSError)
             )
@@ -257,22 +267,26 @@ class TestTypedShardErrors:
         _, queries = corpus
         from repro.serve.backends import BackendUnavailableError
 
+        planner = load_index_dir(saved_dir, mmap=True)
+        queries_t, probed = planner.preselect(queries[:4], NPROBE)
         with WorkerPool(saved_dir, 2, startup_timeout_s=120) as pool:
-            backend = pool.sharded_backend().shards[0]
+            backend = pool.sharded_backend(preselect=planner).shards[0]
             backend.close()
             with pytest.raises(BackendUnavailableError, match="closed"):
-                backend.search_batch(queries[:4], K, NPROBE)
+                backend.search_batch_preselected(queries_t, probed, K)
 
     def test_reconnect_revives_closed_backend(self, saved_dir, corpus):
         """reconnect() is the supervisor's re-registration primitive:
         after it, the same object serves from the new address."""
         index, queries = corpus
         ref = index.search(queries, K, NPROBE)
+        planner = load_index_dir(saved_dir, mmap=True)
+        queries_t, probed = planner.preselect(queries, NPROBE)
         with WorkerPool(saved_dir, 1, startup_timeout_s=120) as pool:
-            backend = pool.sharded_backend().shards[0]
+            backend = pool.sharded_backend(preselect=planner).shards[0]
             backend.close()
             backend.reconnect(pool.workers[0].host, pool.workers[0].port)
-            ids, dists = backend.search_batch(queries, K, NPROBE)
+            ids, dists = backend.search_batch_preselected(queries_t, probed, K)
             np.testing.assert_array_equal(ids, ref[0])
             np.testing.assert_array_equal(dists, ref[1])
             assert backend.reconnects == 1
