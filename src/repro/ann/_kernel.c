@@ -1,7 +1,9 @@
 /*
- * Fused Stage PQDist + Stage SelK for one block of IVF-PQ queries.
+ * The compiled kernel tier: scan_select, fused Stage PQDist + Stage SelK
+ * for one block of IVF-PQ queries, and seed_step, the inner pass of one
+ * k-means++ seeding step (at the end of this file).
  *
- * The numpy stages in repro/ann/ivf.py are the reference; this function
+ * The numpy stages in repro/ann/ivf.py are scan_select's reference; it
  * must equal them bit for bit (ids and float32 distances, ties included).
  * Three things make that hold:
  *
@@ -17,7 +19,7 @@
  *    ascending order are those of a (distance, id) lexsort.
  *
  * Called through ctypes.CDLL, so the interpreter lock is released for the
- * whole call; the function touches no Python object and keeps no state.
+ * whole call; neither function touches a Python object or keeps state.
  */
 #include <math.h>
 #include <stdint.h>
@@ -202,4 +204,59 @@ int64_t scan_select(
                 hi[i] = -1;
     }
     return scanned;
+}
+
+/*
+ * Column j of one point's row in a k-means++ seeding step: the distance
+ * (x_sq + y_sq[j]) - 2 g, clamped as np.maximum(d, 0.0) clamps it, written
+ * over g, and np.minimum(closest, distance) added to column j's potential.
+ * numpy's minimum and maximum keep the first operand when it is NaN or
+ * strictly wins, else the second, so equal operands (+0.0 and -0.0) give
+ * the second.
+ */
+static inline void seed_col(
+    float *restrict row, const float *restrict y_sq, float *restrict pot,
+    int64_t j, float xs, float c)
+{
+    float d = (xs + y_sq[j]) - 2.0f * row[j];
+    d = (d > 0.0f || isnan(d)) ? d : 0.0f;
+    row[j] = d;
+    pot[j] += (c < d || isnan(c)) ? c : d;
+}
+
+/*
+ * One k-means++ seeding step (repro/ann/kmeans.py): the squared distances
+ * from n points to t >= 2 candidate seeds, and each candidate's potential.
+ * It equals the numpy expressions it replaces bit for bit: the distances
+ * are l2_sq's, one float32 operation at a time (seed_col), and the
+ * potentials np.minimum(closest[:, None], dist).sum(axis=0).  An axis-0
+ * sum of a C-contiguous (n, t >= 2) array is one left-to-right accumulator
+ * per column, started at the identity +0.0 (numpy sums pairwise only along
+ * a contiguous axis, which a t = 1 column would be).  Columns are taken
+ * four at a time, which the compiler turns into vector lanes; each column
+ * still sums its points in order.
+ *
+ * g:       (n, t) float32 product x @ y.T, row-major; overwritten by the
+ *          clamped squared distances.
+ * x_sq:    (n,) squared norms of the points; y_sq: (t,) of the candidates.
+ * closest: (n,) each point's squared distance to its nearest chosen seed.
+ * pot:     (t,) out: each candidate's potential, the sum over points of
+ *          min(closest, distance).
+ */
+void seed_step(
+    float *restrict g, const float *restrict x_sq, const float *restrict y_sq,
+    const float *restrict closest, int64_t n, int64_t t, float *restrict pot)
+{
+    for (int64_t j = 0; j < t; j++)
+        pot[j] = 0.0f;
+    for (int64_t i = 0; i < n; i++) {
+        float *restrict row = g + i * t;
+        const float xs = x_sq[i], c = closest[i];
+        int64_t j = 0;
+        for (; j + 4 <= t; j += 4)
+            for (int l = 0; l < 4; l++)
+                seed_col(row, y_sq, pot, j + l, xs, c);
+        for (; j < t; j++)
+            seed_col(row, y_sq, pot, j, xs, c);
+    }
 }

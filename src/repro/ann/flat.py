@@ -3,9 +3,11 @@
 :func:`brute_force_topk` is the ground truth for recall evaluation.
 :class:`FlatIndex` is an exact, growable index over full-precision rows.
 The dynamic service (:mod:`repro.service.dynamic`) uses it to buffer the
-vectors inserted since the last snapshot.  An append is a row copy and a
-search is one blocked squared-L2 product plus :func:`~repro.ann.merge.merge_topk`,
-so results are in the canonical (distance, id) order the service merges in.
+vectors inserted since the last snapshot.  An append is a row copy plus
+the rows' squared norms, and a search is one matrix-vector product per
+query plus :func:`~repro.ann.merge.merge_topk`, so results are in the
+canonical (distance, id) order the service merges in, and a query's
+distance bits do not depend on the queries batched with it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class FlatIndex:
 
     ``FlatIndex(base)`` indexes ``base`` with ids ``0..n-1``; ``FlatIndex(d=d)``
     starts empty.  Rows live in one contiguous matrix whose capacity doubles
-    as it grows, so :meth:`add` costs amortised O(rows added).
+    as it grows, so :meth:`add` costs amortised O(rows added).  Each row's
+    squared norm is kept beside it, computed once on :meth:`add`.
     """
 
     def __init__(self, base: np.ndarray | None = None, *, d: int | None = None):
@@ -50,6 +53,7 @@ class FlatIndex:
         self.ntotal = 0
         self._vecs = np.empty((0, d), dtype=np.float32)  # (capacity, d)
         self._ids = np.empty(0, dtype=np.int64)
+        self._sq = np.empty(0, dtype=np.float32)  # squared row norms
         if base is not None:
             self.add(base)
 
@@ -72,17 +76,30 @@ class FlatIndex:
             cap = max(2 * len(self._vecs), start + n, 16)
             self._vecs = np.resize(self._vecs, (cap, self.d))
             self._ids = np.resize(self._ids, cap)
+            self._sq = np.resize(self._sq, cap)
         self._vecs[start:start + n], self._ids[start:start + n] = x, ids
+        self._sq[start:start + n] = np.einsum("ij,ij->i", x, x)
         self.ntotal += n
         return self
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k ids and squared distances per query, ascending by (distance,
-        id); rows with fewer than ``k`` candidates pad with ``(-1, inf)``."""
+        id); rows with fewer than ``k`` candidates pad with ``(-1, inf)``.
+
+        Each query's distances are those of :func:`~repro.ann.distances.l2_sq`
+        on that query alone, bit for bit: one matrix-vector product per
+        query, since a matrix product's rounding depends on how many
+        queries it holds.
+        """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         self._check_dim(queries)
         vecs, ids = self.vectors_and_ids()
-        dists = l2_sq_blocked(queries, vecs)
+        sq = self._sq[: self.ntotal]
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        dists = np.empty((len(queries), self.ntotal), dtype=np.float32)
+        for q, row in enumerate(dists):
+            np.subtract(q_sq[q] + sq, 2.0 * (vecs @ queries[q]), out=row)
+        np.maximum(dists, 0.0, out=dists)
         return merge_topk(np.broadcast_to(ids, dists.shape), dists, k)
 
     def vectors_and_ids(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Compiled kernel tier: fused Stage PQDist + Stage SelK in C.
+"""Compiled kernel tier: fused Stage PQDist + Stage SelK, and k-means++
+seeding, in C.
 
 :func:`scan_select` runs ``_kernel.c`` over one block of queries.  For each
 probed (query, cell) pair it adds the index's term table and the query's
@@ -9,6 +10,14 @@ per query, so its answers equal the numpy stages of
 :class:`repro.ann.ivf.IVFPQIndex` bit for bit.  The numpy
 stages stay as the reference (the C-model-versus-design check of an HLS
 flow) and as the path used when no compiler is available.
+
+:func:`seed_step` is the inner pass of one k-means++ seeding step
+(:func:`repro.ann.kmeans.kmeans_pp_init`): from the BLAS product of the
+points and the candidate seeds it writes the clamped squared distances
+and each candidate's potential in one sweep, equal bit for bit to the
+numpy expressions that stay in ``kmeans.py`` as its reference and
+fallback.  Index training is almost all seeding, so this roughly halves
+``IVFPQIndex.train`` without changing one trained bit.
 
 The shared object is built on first use with the system ``cc`` into
 ``$XDG_CACHE_HOME/repro-kernel`` (else ``~/.cache/repro-kernel``, else a
@@ -43,7 +52,7 @@ try:
 except ImportError:  # not POSIX: no build lock, so the numpy stages run
     fcntl = None
 
-__all__ = ["MAX_M", "library", "out_of_range_code", "scan_select"]
+__all__ = ["MAX_M", "library", "out_of_range_code", "scan_select", "seed_step"]
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +79,7 @@ _ARGTYPES = [
     _P,  # lut scratch
     _P, _P,  # out_ids, out_dists
 ]
+_SEED_ARGTYPES = [_P, _P, _P, _P, _I64, _I64, _P]  # g, x_sq, y_sq, closest, n, t, pot
 
 
 def out_of_range_code(cell: int, ksub: int) -> ValueError:
@@ -113,13 +123,13 @@ def _build(directory: Path, source: bytes) -> Path:
     name and renaming means no process ever opens a half-written file.
     """
     key = hashlib.sha256(source + "\0".join(_FLAGS).encode()).hexdigest()[:16]
-    target = directory / f"scan_select-{key}.so"
+    target = directory / f"kernel-{key}.so"
     if target.exists():
         return target
-    with open(directory / f"scan_select-{key}.lock", "w") as lock:
+    with open(directory / f"kernel-{key}.lock", "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         if not target.exists():
-            tmp = directory / f".scan_select-{key}.{os.getpid()}.so"
+            tmp = directory / f".kernel-{key}.{os.getpid()}.so"
             try:
                 subprocess.run(
                     [_COMPILER, *_FLAGS, "-o", str(tmp), "-x", "c", "-"],
@@ -136,28 +146,30 @@ def _build(directory: Path, source: bytes) -> Path:
 def library() -> ctypes.CDLL | None:
     """The compiled kernel, built on first use; None when it cannot be.
 
-    A failure logs one warning and leaves every search on the numpy
-    reference stages, which give the same answers more slowly.
+    A failure logs one warning and leaves every search and every k-means
+    fit on the numpy references, which give the same bits more slowly.
     """
     if fcntl is None:
-        log.warning("no fcntl on this platform; using the numpy scan")
+        log.warning("no fcntl on this platform; using the numpy reference")
         return None
     directory = _cache_dir()
     if directory is None:
-        log.warning("no private writable cache directory; using the numpy scan")
+        log.warning("no private writable cache directory; using the numpy reference")
         return None
     try:
         lib = ctypes.CDLL(str(_build(directory, _SOURCE.read_bytes())))
     except subprocess.CalledProcessError as exc:
         log.warning(
-            "kernel compile failed; using the numpy scan: %s", exc.stderr.decode().strip()
+            "kernel compile failed; using the numpy reference: %s", exc.stderr.decode().strip()
         )
         return None
     except (OSError, subprocess.SubprocessError) as exc:
-        log.warning("kernel unavailable; using the numpy scan: %s", exc)
+        log.warning("kernel unavailable; using the numpy reference: %s", exc)
         return None
     lib.scan_select.argtypes = _ARGTYPES
     lib.scan_select.restype = _I64
+    lib.seed_step.argtypes = _SEED_ARGTYPES
+    lib.seed_step.restype = None
     return lib
 
 
@@ -225,3 +237,40 @@ def scan_select(terms, qterms, dis0, probed, lists, k: int):
     if scanned < 0:
         raise out_of_range_code(-scanned - 1, ksub)
     return out_ids, out_dists, int(scanned)
+
+
+def seed_step(g, x_sq, y_sq, closest):
+    """One k-means++ step's distances and potentials; None when the kernel
+    is absent.
+
+    ``g`` is the ``(n, t)`` float32 C-contiguous product ``x @ y.T`` of the
+    points and ``t >= 2`` candidate seeds; it is overwritten by the squared
+    distances ``max((x_sq + y_sq) - 2 g, 0)``.  ``x_sq`` ``(n,)`` and ``y_sq``
+    ``(t,)`` are the squared norms and ``closest`` ``(n,)`` each point's
+    squared distance to its nearest chosen seed, all float32.  Returns the
+    ``(t,)`` potentials ``np.minimum(closest[:, None], g).sum(axis=0)``.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    n, t = g.shape
+    if t < 2:
+        # A one-column axis-0 sum is a contiguous reduce, which numpy sums
+        # pairwise; the kernel writes the column-wise order only.
+        raise ValueError(f"the compiled seeding step takes t >= 2 candidates, got {t}")
+    if g.dtype != np.float32 or not g.flags.c_contiguous or not g.flags.writeable:
+        raise ValueError("g must be a writeable C-contiguous float32 array")
+    x_sq = np.ascontiguousarray(x_sq, dtype=np.float32)
+    y_sq = np.ascontiguousarray(y_sq, dtype=np.float32)
+    closest = np.ascontiguousarray(closest, dtype=np.float32)
+    if x_sq.shape != (n,) or closest.shape != (n,) or y_sq.shape != (t,):
+        raise ValueError(
+            f"x_sq {x_sq.shape}, closest {closest.shape} and y_sq {y_sq.shape} "
+            f"must be ({n},), ({n},) and ({t},)"
+        )
+    pot = np.empty(t, dtype=np.float32)
+    lib.seed_step(
+        g.ctypes.data, x_sq.ctypes.data, y_sq.ctypes.data, closest.ctypes.data,
+        n, t, pot.ctypes.data,
+    )
+    return pot

@@ -4,6 +4,14 @@ Used for (a) training the IVF coarse quantizer (nlist centroids) and (b)
 training each PQ sub-quantizer (256 centroids per sub-space).  Matches the
 behaviour Faiss uses for index training, which is what the paper's index
 explorer drives.
+
+Seeding is most of a fit's time.  Each of its steps scores a few candidate
+seeds against every point; when the compiled kernel tier is available
+(:func:`repro.ann.kernel.seed_step`) that pass runs in C over the same BLAS
+products, and with the points' squared norms computed once per fit.  The
+numpy expressions in :func:`_numpy_seed_scorer` are the reference and the
+fallback, and both paths pick the same seeds from the same random stream,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +20,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ann.distances import l2_sq_blocked, pairwise_argmin
+from repro.ann import kernel
+from repro.ann.distances import _DEFAULT_BLOCK, l2_sq_blocked, pairwise_argmin
 
 __all__ = ["KMeans", "kmeans_fit", "kmeans_pp_init"]
+
+
+def _numpy_seed_scorer(x: np.ndarray):
+    """The reference scorer: ``score(y, closest)`` gives the squared distances
+    ``(n, t)`` from ``x`` to the candidates ``y`` and each candidate's
+    potential ``(t,)``, the sum over points of their distance to the nearest
+    seed once that candidate is chosen."""
+
+    def score(y, closest):
+        cand_dist = l2_sq_blocked(x, y)
+        return cand_dist, np.minimum(closest[:, None], cand_dist).sum(axis=0)
+
+    return score
+
+
+def _seed_scorer(x: np.ndarray, t: int):
+    """A scorer equal bit for bit to :func:`_numpy_seed_scorer`, compiled
+    when it can be.
+
+    Every numpy call keeps the reference's shape (``l2_sq_blocked``'s
+    blocks of ``_DEFAULT_BLOCK`` rows), but the squared norms of the blocks
+    of ``x``, which the reference recomputes each step, are computed once.
+    Each call overwrites the previous call's distances.
+    """
+    if t < 2 or x.dtype != np.float32 or kernel.library() is None:
+        return _numpy_seed_scorer(x)
+    n = x.shape[0]
+    blocks = [slice(start, start + _DEFAULT_BLOCK) for start in range(0, n, _DEFAULT_BLOCK)]
+    x_sq = np.concatenate([np.einsum("ij,ij->i", x[b], x[b]) for b in blocks])
+    g = np.empty((n, t), dtype=np.float32)
+
+    def score(y, closest):
+        yt = y.T
+        for b in blocks:
+            np.matmul(x[b], yt, out=g[b])
+        return g, kernel.seed_step(g, x_sq, np.einsum("ij,ij->i", y, y), closest)
+
+    return score
 
 
 def kmeans_pp_init(
@@ -31,6 +78,7 @@ def kmeans_pp_init(
     if n_local_trials is None:
         n_local_trials = 2 + int(np.log(max(k, 2)))
     centers = np.empty((k, d), dtype=x.dtype)
+    score = _seed_scorer(x, n_local_trials)
     first = int(rng.integers(n))
     centers[0] = x[first]
     closest = l2_sq_blocked(x, centers[0:1]).ravel()
@@ -43,8 +91,7 @@ def kmeans_pp_init(
         # Sample candidate seeds proportional to D^2, keep the best.
         probs = closest / total
         candidates = rng.choice(n, size=n_local_trials, p=probs)
-        cand_dist = l2_sq_blocked(x, x[candidates])
-        pot = np.minimum(closest[:, None], cand_dist).sum(axis=0)
+        cand_dist, pot = score(x[candidates], closest)
         best = int(np.argmin(pot))
         centers[c] = x[candidates[best]]
         closest = np.minimum(closest, cand_dist[:, best])

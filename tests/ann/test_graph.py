@@ -122,15 +122,17 @@ class TestIncrementality:
 
 
 def _reference(vecs, ids, queries, k):
-    """Brute force in canonical order: ascending (distance, id), padded."""
+    """Brute force in canonical order: ascending (distance, id), padded.
+    Each query's distances are computed with that query alone, so no
+    answer depends on its batch-mates."""
     out_ids = np.full((len(queries), k), -1, dtype=np.int64)
     out_dists = np.full((len(queries), k), np.inf, dtype=np.float32)
     if len(ids):
-        dists = l2_sq_blocked(queries, vecs)
         for qi in range(len(queries)):
-            order = np.lexsort((ids, dists[qi]))[:k]
+            dists = l2_sq_blocked(queries[qi : qi + 1], vecs)[0]
+            order = np.lexsort((ids, dists))[:k]
             out_ids[qi, : len(order)] = ids[order]
-            out_dists[qi, : len(order)] = dists[qi, order]
+            out_dists[qi, : len(order)] = dists[order]
     return out_ids, out_dists
 
 

@@ -2,8 +2,8 @@
 
 The reference is built here from the service's parts, not from its code:
 the primary IVF-PQ index searched at the service's fetch size, exact
-squared-L2 distances to every row of the live (and, mid-merge, frozen)
-delta, the tombstone filter, and a per-row ``np.lexsort`` on (distance,
+squared-L2 distances from each query alone to every row of the live (and,
+mid-merge, frozen) delta, the tombstone filter, and a per-row ``np.lexsort`` on (distance,
 id).  ``DynamicVectorService.search`` must equal it on ids and on float32
 distance bits after every step of seeded insert/delete/merge sequences.
 """
@@ -29,14 +29,16 @@ def _reference(svc, queries, k):
         queries, min(fetch, max(svc.primary.ntotal, 1)), min(svc.nprobe, svc.primary.nlist)
     )
     deltas = [g.vectors_and_ids() for g in (svc._frozen_delta, svc.delta) if g is not None]
-    delta_dists = [l2_sq_blocked(queries, vecs) for vecs, _ in deltas if len(vecs)]
-    delta_ids = [ids for _, ids in deltas if len(ids)]
+    deltas = [(vecs, ids) for vecs, ids in deltas if len(ids)]
     dead = np.array(sorted(svc.deleted), dtype=np.int64)
     out_ids = np.full((len(queries), k), -1, dtype=np.int64)
     out_dists = np.full((len(queries), k), np.inf, dtype=np.float32)
     for qi in range(len(queries)):
-        ids = np.concatenate([p_ids[qi], *delta_ids])
-        dists = np.concatenate([p_dists[qi], *(dd[qi] for dd in delta_dists)])
+        query = queries[qi : qi + 1]
+        ids = np.concatenate([p_ids[qi], *(ids for _, ids in deltas)])
+        dists = np.concatenate(
+            [p_dists[qi], *(l2_sq_blocked(query, vecs)[0] for vecs, _ in deltas)]
+        )
         keep = (ids >= 0) & np.isfinite(dists) & ~np.isin(ids, dead)
         ids, dists = ids[keep], dists[keep]
         order = np.lexsort((ids, dists))[:k]
@@ -214,3 +216,22 @@ def test_non_positive_k_raises(k):
     svc.insert(vecs[50:55])
     with pytest.raises(ValueError, match="k must be positive"):
         svc.search(vecs[:2], k)
+
+
+@pytest.mark.parametrize("d", [D, 64])
+def test_answers_do_not_depend_on_batch_mates(d):
+    """With a non-empty delta, each row of a batched search equals that
+    query searched alone, ids and distance bits: the engine batches
+    whatever queries arrive together, so an answer must not depend on them."""
+    vecs = make_clustered(900, d, n_clusters=6, intrinsic_dim=3, seed=5)
+    svc = DynamicVectorService(d=d, nlist=4, m=2, ksub=16, nprobe=2, seed=5)
+    svc.bootstrap(vecs[:300])
+    svc.insert(vecs[300:880])
+    svc.delete(np.arange(0, 600, 7))
+    queries = vecs[880:]
+    for k in KS:
+        ids, dists = svc.search(queries, k)
+        for qi in range(len(queries)):
+            one_ids, one_dists = svc.search(queries[qi : qi + 1], k)
+            np.testing.assert_array_equal(ids[qi], one_ids[0])
+            np.testing.assert_array_equal(dists[qi].view(np.uint32), one_dists[0].view(np.uint32))
