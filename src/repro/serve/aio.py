@@ -21,8 +21,10 @@ Three pieces:
   speaking the length-prefixed binary protocol of
   :mod:`repro.serve.protocol` (framing constants shared with the
   hardware network models in :mod:`repro.net.wire`).  Connections
-  pipeline freely: every request becomes its own task and responses
-  return in completion order, correlated by request id.  Quota sheds
+  pipeline freely and responses return in completion order, correlated
+  by request id.  Search frames go straight to the engine with no task
+  or asyncio future per request: one connection's completions wake the
+  loop once per burst and leave as one joined ``write``.  Quota sheds
   answer with an error frame carrying the token bucket's
   ``retry_after_s``.
 - :class:`AsyncClient` — the matching client: ``submit`` pipelines,
@@ -32,8 +34,8 @@ Three pieces:
   uses (``retry_after_s`` included), so callers cannot tell a local
   engine from a remote one.
 
-**Pair the engine with ``policy="shed"``.**  The facade calls
-``engine.submit`` on the event loop; under the ``block`` policy a full
+**Pair the engine with ``policy="shed"``.**  The facade and the server
+call ``engine.submit`` on the event loop; under the ``block`` policy a full
 queue (or an exhausted quota) would park the whole loop — every
 connection, not just the offender.  Shed turns backpressure into an
 exception on exactly the request that hit it, which is the only
@@ -49,8 +51,10 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -214,17 +218,21 @@ class AsyncServingEngine:
 class VectorSearchServer:
     """Socket front end: the binary protocol over ``asyncio.start_server``.
 
-    Each accepted connection runs one reader loop; each decoded request
-    frame becomes its own task, so a single connection can pipeline any
-    number of requests and receives responses in completion order
-    (request ids correlate them).  A client that disconnects mid-request
-    cancels its in-flight tasks — the queued engine requests are dropped
-    at batch time, batch-mates unaffected.
+    Each accepted connection runs one reader loop that hands search
+    frames straight to ``engine.submit``, so a single connection can
+    pipeline any number of requests and receives responses in completion
+    order (request ids correlate them).  The engine's completions for one
+    connection wake the loop once per burst, and the burst's replies
+    leave as one joined ``write``.  The reader drains the transport
+    before every frame: a client that stops reading its replies stops
+    being read.  A client that disconnects mid-request has its in-flight
+    engine requests cancelled — the dispatcher drops them at batch time,
+    batch-mates unaffected.
 
     Parameters
     ----------
-    engine : a :class:`ServingEngine` (wrapped automatically), an
-        :class:`AsyncServingEngine`, or ``None`` for a shard worker
+    engine : a :class:`ServingEngine`, an :class:`AsyncServingEngine`
+        (unwrapped to its engine), or ``None`` for a shard worker
         (:mod:`repro.serve.workers`), which answers preselect and stats
         frames only: a search frame drops the connection like any other
         invalid client traffic.  Start/stop of the engine stays with the
@@ -254,6 +262,11 @@ class VectorSearchServer:
     in :meth:`~repro.serve.metrics.MetricsRegistry.snapshot`.  A worker
     also counts each answered preselect frame's queries as
     ``completed``.
+
+    **Tracing.**  A search frame carrying a sampled trace context
+    records two children of the client's span on the engine's tracer:
+    ``frontend.submit`` (frame decoded → ``engine.submit`` returned) and
+    ``frontend.reply`` (engine resolve → the joined ``write`` returned).
     """
 
     def __init__(
@@ -268,10 +281,9 @@ class VectorSearchServer:
     ):
         if engine is None and preselect_backend is None:
             raise ValueError("a server needs an engine or a preselect_backend")
-        self.aengine = (
-            engine
-            if engine is None or isinstance(engine, AsyncServingEngine)
-            else AsyncServingEngine(engine)
+        #: The engine search frames go to (unwrapped from a facade).
+        self.engine: ServingEngine | None = (
+            engine.engine if isinstance(engine, AsyncServingEngine) else engine
         )
         self.host = host
         self.port = port
@@ -288,12 +300,12 @@ class VectorSearchServer:
         # A front end shares its engine's registry and tracer.  A worker
         # keeps its own; its tracer only continues the router's traced
         # preselect frames (the sampling decision rides the wire).
-        if self.aengine is None:
+        if self.engine is None:
             self.metrics = MetricsRegistry()
             self.tracer = Tracer(sample_rate=0.0)
         else:
-            self.metrics = self.aengine.engine.metrics
-            self.tracer = self.aengine.engine.tracer
+            self.metrics = self.engine.metrics
+            self.tracer = self.engine.tracer
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         #: Open-connection registry: handler task -> its stream writer.
@@ -336,25 +348,29 @@ class VectorSearchServer:
     async def stop(self) -> None:
         """Stop accepting, drop every open connection (idempotent).
 
-        Connections are dropped by closing their transports (the reader
-        loops then exit on EOF and cancel their own in-flight request
-        tasks) rather than by cancelling the handler tasks — asyncio's
-        stream machinery logs a cancelled handler as an error.
+        Connections are dropped by aborting their transports (the reader
+        loops then exit and cancel their own in-flight engine requests)
+        rather than by cancelling the handler tasks — asyncio's stream
+        machinery logs a cancelled handler as an error.  An abort, unlike
+        ``close``, does not wait to flush unsent replies, so a client that
+        stopped reading cannot hold up the stop.  They are dropped before
+        ``wait_closed``, which from Python 3.12 waits for every
+        connection to end.
         """
         if self._server is None:
             return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+        server, self._server = self._server, None
+        server.close()
+        conns = dict(self._conns)
+        for writer in conns.values():
+            writer.transport.abort()
+        if conns:
+            await asyncio.gather(*conns.keys(), return_exceptions=True)
+        await server.wait_closed()
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
             self._metrics_server = None
-        conns = dict(self._conns)
-        for writer in conns.values():
-            writer.close()
-        if conns:
-            await asyncio.gather(*conns.keys(), return_exceptions=True)
         if self._pre_pool is not None:
             self._pre_pool.shutdown(wait=False)
             self._pre_pool = None
@@ -371,7 +387,17 @@ class VectorSearchServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: read frames, fan out request tasks."""
+        """One connection: read frames, submit searches, write replies.
+
+        A search frame goes straight to ``engine.submit`` (a refusal is
+        answered with its error frame at once).  The engine future's
+        done-callback queues the answer on this connection's completion
+        list; only the first completion of a burst wakes the loop, and
+        ``flush`` writes the whole burst as one joined ``write``.
+        Preselect and stats frames run as one task each and reply through
+        the same ``send``.  The reader awaits ``drain`` before every
+        frame, so a client that stops reading stops being read.
+        """
         conn = asyncio.current_task()
         if conn is not None:
             self._conns[conn] = writer
@@ -383,12 +409,82 @@ class VectorSearchServer:
         m.inc("connections_opened")
         m.set_gauge("connections_open", self._open)
         m.max_gauge("connections_peak", self._peak)
-        tasks: set[asyncio.Task] = set()
-        # Serializes frame writes: interleaved drain() calls from
-        # concurrent request tasks are not allowed on one transport.
-        wlock = asyncio.Lock()
+        loop = asyncio.get_running_loop()
+        engine, tracer = self.engine, self.tracer
+        inflight: set[Future] = set()  # engine futures not yet flushed
+        tasks: set[asyncio.Task] = set()  # preselect and stats replies
+        done: list = []  # (request, engine future, reply span) to write
+        done_lock = threading.Lock()
+
+        def send(frames: list[bytes]) -> None:
+            # The one write path of every reply on this connection.
+            if frames and not writer.is_closing():
+                writer.write(b"".join(frames))
+                m.inc("frames_out", len(frames))
+
+        def flush() -> None:
+            # On the loop: answer every completion queued since the wake-up.
+            nonlocal done
+            with done_lock:
+                burst, done = done, []
+            frames, spans = [], []
+            for req, fut, span in burst:
+                inflight.discard(fut)
+                if fut.cancelled():
+                    continue
+                exc = fut.exception()
+                frames.append(
+                    _result_frame(req.request_id, fut.result())
+                    if exc is None
+                    else encode_exception(req.request_id, exc)
+                )
+                if span is not None:
+                    spans.append(span)
+            send(frames)
+            for span in spans:
+                span.end()
+
+        def completed(req: SearchFrame, fut: Future) -> None:
+            # On a dispatcher thread (inline on the loop for a cache hit or
+            # a cancel): queue the answer, wake the loop once per burst.
+            span = None
+            if req.trace is not None and tracer is not None:
+                span = tracer.continue_trace(req.trace, "frontend.reply")
+            with done_lock:
+                done.append((req, fut, span))
+                wake = len(done) == 1
+            if wake:
+                try:
+                    loop.call_soon_threadsafe(flush)
+                except RuntimeError:
+                    pass  # loop already closed; nobody is left to answer
+
+        def search(req: SearchFrame) -> None:
+            span = None
+            if req.trace is not None and tracer is not None:
+                span = tracer.continue_trace(req.trace, "frontend.submit")
+            try:
+                fut = engine.submit(
+                    req.query, req.k, req.nprobe,
+                    tenant=req.tenant, priority=req.priority, trace=req.trace,
+                )
+            except Exception as exc:  # shed, quota, wrong dimension, stopped
+                fut = None
+                send([encode_exception(req.request_id, exc)])
+            if span is not None:
+                span.end()
+            if fut is not None:
+                inflight.add(fut)
+                fut.add_done_callback(partial(completed, req))
+
         try:
             while True:
+                try:
+                    # Backpressure: while the transport holds unread
+                    # replies above its high-water mark, read nothing.
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    break
                 try:
                     frame = await read_frame(reader)
                 except ProtocolError:
@@ -398,8 +494,8 @@ class VectorSearchServer:
                     break  # clean close
                 ftype, payload = frame
                 try:
-                    if ftype == FRAME_SEARCH and self.aengine is not None:
-                        req, answer = decode_search(payload), self._search_reply
+                    if ftype == FRAME_SEARCH and engine is not None:
+                        req, answer = decode_search(payload), None
                     elif (
                         ftype == FRAME_PRESELECT
                         and self.preselect_backend is not None
@@ -418,13 +514,18 @@ class VectorSearchServer:
                     m.inc("protocol_errors")
                     break
                 m.inc("frames_in")
-                task = asyncio.create_task(self._reply(answer, req, writer, wlock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                if answer is None:
+                    search(req)
+                else:
+                    task = asyncio.create_task(_reply(answer, req, send))
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
         finally:
             # Disconnect (or server stop): abandon this connection's
-            # in-flight requests.  Cancelling the tasks cancels their
-            # engine futures; the dispatcher drops them at batch time.
+            # in-flight requests.  The dispatcher drops a cancelled engine
+            # request at batch time, sparing its batch-mates.
+            for fut in inflight:
+                fut.cancel()
             for task in tasks:
                 task.cancel()
             if tasks:
@@ -438,40 +539,6 @@ class VectorSearchServer:
                 self._conns.pop(conn, None)
             self._open -= 1
             m.set_gauge("connections_open", self._open)
-
-    async def _reply(
-        self, answer, req, writer: asyncio.StreamWriter, wlock: asyncio.Lock
-    ) -> None:
-        """One request task: compute ``await answer(req)``, write the frame.
-
-        The one write path of every request kind.  A request that fails
-        answers with the error frame of its exception
-        (:func:`~repro.serve.protocol.encode_exception`).
-        """
-        try:
-            frame = await answer(req)
-        except Exception as exc:
-            frame = encode_exception(req.request_id, exc)
-        try:
-            async with wlock:
-                writer.write(frame)
-                await writer.drain()
-            self.metrics.inc("frames_out")
-        except (ConnectionError, OSError):
-            pass  # peer vanished between compute and write; nothing to do
-
-    async def _search_reply(self, req: SearchFrame) -> bytes:
-        """Answer one search frame: await the engine, encode the result."""
-        res = await self.aengine.search(
-            req.query, req.k, req.nprobe,
-            tenant=req.tenant, priority=req.priority, trace=req.trace,
-        )
-        return encode_result(
-            req.request_id, res.ids, res.dists,
-            queue_us=res.queue_us, exec_us=res.exec_us,
-            batch_size=res.batch_size, cache_hit=res.cache_hit,
-            coverage=res.coverage,
-        )
 
     def _preselect_executor(self) -> ThreadPoolExecutor:
         """The lazily-created single-thread preselect scan executor."""
@@ -524,7 +591,7 @@ class VectorSearchServer:
         ids, dists, codes, exec_us, spans = await loop.run_in_executor(
             self._preselect_executor(), scan
         )
-        if self.aengine is None:
+        if self.engine is None:
             self.metrics.inc("completed", nq)
         return encode_batch_result(
             req.request_id, ids, dists,
@@ -548,7 +615,7 @@ class VectorSearchServer:
             data["dropped_spans"] = self.tracer.dropped
             if req.drain_spans:
                 data["spans"] = self.tracer.drain()
-        events = self.aengine.engine.events if self.aengine is not None else None
+        events = self.engine.events if self.engine is not None else None
         if events is not None and req.drain_events:
             data["events"] = events.drain()
             data["dropped_events"] = events.dropped
@@ -576,6 +643,29 @@ class VectorSearchServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+
+def _result_frame(request_id: int, res: ServeResult) -> bytes:
+    """The result frame of one answered search."""
+    return encode_result(
+        request_id, res.ids, res.dists,
+        queue_us=res.queue_us, exec_us=res.exec_us,
+        batch_size=res.batch_size, cache_hit=res.cache_hit,
+        coverage=res.coverage,
+    )
+
+
+async def _reply(answer, req, send) -> None:
+    """One preselect or stats request: ``send`` the frame of ``answer(req)``.
+
+    A request that fails answers with the error frame of its exception
+    (:func:`~repro.serve.protocol.encode_exception`).
+    """
+    try:
+        frame = await answer(req)
+    except Exception as exc:
+        frame = encode_exception(req.request_id, exc)
+    send([frame])
 
 
 class AsyncClient:

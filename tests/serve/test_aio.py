@@ -6,6 +6,8 @@ async tier inside synchronous benchmarks.
 """
 
 import asyncio
+import socket
+import sys
 import threading
 import time
 
@@ -381,6 +383,327 @@ class TestSocketServer:
         server = VectorSearchServer(ServingEngine(FakeBackend()))
         with pytest.raises(RuntimeError, match="not running"):
             server.address
+
+
+class DimGatedBackend(GatedBackend):
+    """A gated backend that advertises its dimension (the engine then
+    refuses a wrong-dimension query at submit)."""
+
+    d = D
+
+
+def _tap_submits(engine: ServingEngine) -> list:
+    """Record every engine future ``engine.submit`` hands out."""
+    futs, submit = [], engine.submit
+
+    def tapped(*args, **kwargs):
+        fut = submit(*args, **kwargs)
+        futs.append(fut)
+        return fut
+
+    engine.submit = tapped
+    return futs
+
+
+#: A stalled client's traffic: 4 KiB search frames, 12 KiB replies.
+STALL_REQUESTS, STALL_D, STALL_K = 3000, 1024, 1024
+
+
+async def _stall_client(server):
+    """Pipeline search frames from a raw socket that reads nothing.
+
+    The socket has a small receive buffer and sends ``STALL_REQUESTS``
+    frames from a thread.  Returns ``(sock, sender, counters)`` once the
+    server has stopped reading it (``frames_in`` flat over a poll), after
+    asserting that it did stop short of the last frame.
+    """
+    from repro.serve.protocol import encode_search
+
+    requests = b"".join(
+        encode_search(i, np.full(STALL_D, i % 251, dtype=np.float32), STALL_K)
+        for i in range(STALL_REQUESTS)
+    )
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(60)
+    sock.connect(server.address)
+    sender = asyncio.ensure_future(asyncio.to_thread(sock.sendall, requests))
+    seen = -1
+    try:
+        while True:
+            await asyncio.sleep(0.25)
+            counters = server.metrics.snapshot().counters
+            if counters["frames_in"] == seen:
+                break
+            seen = counters["frames_in"]
+        assert seen < STALL_REQUESTS, "the server kept reading a client that reads nothing"
+    except BaseException:
+        _drop(sock)
+        raise
+    return sock, sender, counters
+
+
+def _drop(sock) -> None:
+    """Close a stalled client's socket, waking a send blocked on it.
+
+    It holds unread replies, so the close resets the connection and no
+    server stop waits on it.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already reset by the server
+    sock.close()
+
+
+class TestCoalescedReplies:
+    """One loop wake-up and one ``write`` per engine batch and connection."""
+
+    def test_one_wakeup_and_one_write_per_batch(self):
+        be = GatedBackend()
+        queries = [np.full(D, v, dtype=np.float32) for v in range(1, 9)]
+        ref_ids, ref_dists = FakeBackend().search_batch(np.stack(queries), K)
+        counts = {"wakeups": 0, "writes": 0}
+
+        async def go():
+            # The window only closes at max_batch: all 8 form one batch.
+            engine = ServingEngine(
+                be, max_batch=8, max_wait_us=30e6, policy="shed"
+            )
+            futs = _tap_submits(engine)
+            async with AsyncServingEngine(engine):
+                async with _free_server(engine) as server:
+                    host, port = server.address
+                    async with await AsyncClient.connect(host, port) as client:
+                        pending = [client.submit(q, K) for q in queries]
+                        await client._writer.drain()
+                        await _await_entered(be)
+                        assert len(futs) == 8
+                        loop = asyncio.get_running_loop()
+                        (writer,) = server._conns.values()
+                        transport = writer.transport
+                        wake, write = loop.call_soon_threadsafe, transport.write
+
+                        def counted_wake(*args, **kwargs):
+                            counts["wakeups"] += 1
+                            return wake(*args, **kwargs)
+
+                        def counted_write(data):
+                            counts["writes"] += 1
+                            return write(data)
+
+                        loop.call_soon_threadsafe = counted_wake
+                        transport.write = counted_write
+                        # The server's done-callback on each future runs
+                        # before this one, so once all 8 have fired every
+                        # completion is queued for the one flush.
+                        resolved = threading.Semaphore(0)
+                        for fut in futs:
+                            fut.add_done_callback(lambda _f: resolved.release())
+                        be.gate.set()
+                        for _ in futs:  # blocks the loop on purpose
+                            assert resolved.acquire(timeout=30)
+                        got = await asyncio.gather(*pending)
+                        del loop.call_soon_threadsafe, transport.write
+                    return got, server.metrics.snapshot().counters
+
+        got, counters = asyncio.run(go())
+        assert be.calls == 1
+        assert counts == {"wakeups": 1, "writes": 1}
+        np.testing.assert_array_equal(np.stack([g.ids for g in got]), ref_ids)
+        np.testing.assert_array_equal(np.stack([g.dists for g in got]), ref_dists)
+        assert all(g.batch_size == 8 for g in got)
+        assert counters["frames_in"] == counters["frames_out"] == 8
+
+    def test_wrong_dimension_query_is_refused_alone(self):
+        """A query the engine refuses at submit gets its error frame at
+        once; the valid queries around it are answered."""
+        be = DimGatedBackend()
+        be.gate.set()
+        values = [1, 2, 3, 4, 5, 6, 7, 8]
+
+        async def go():
+            engine = ServingEngine(
+                be, max_batch=8, max_wait_us=30e6, policy="shed"
+            )
+            async with AsyncServingEngine(engine):
+                async with _free_server(engine) as server:
+                    host, port = server.address
+                    async with await AsyncClient.connect(host, port) as client:
+                        good = [
+                            client.submit(np.full(D, v, dtype=np.float32), K)
+                            for v in values[:4]
+                        ]
+                        bad = client.submit(np.zeros(D + 1, dtype=np.float32), K)
+                        good += [
+                            client.submit(np.full(D, v, dtype=np.float32), K)
+                            for v in values[4:]
+                        ]
+                        with pytest.raises(RemoteServeError, match="dim"):
+                            await bad
+                        got = await asyncio.gather(*good)
+                    return got, server.metrics.snapshot().counters
+
+        got, counters = asyncio.run(go())
+        for v, res in zip(values, got):
+            np.testing.assert_array_equal(res.ids, v * 100 + np.arange(K))
+        assert be.calls == 1
+        assert counters["frames_in"] == counters["frames_out"] == 9
+
+    def test_client_that_never_reads_stops_being_read(self):
+        """A client that pipelines but never reads: the server stops
+        reading it, its unwritten replies stay bounded, other connections
+        are served, and once it reads every request is answered."""
+        from repro.serve.protocol import HEADER_SIZE, decode_result, parse_header
+
+        n, k = STALL_REQUESTS, STALL_K
+        # The admission queue bounds a connection's requests in flight.
+        queue_depth, max_batch = 64, 16
+
+        def read_replies(sock) -> dict:
+            buf, replies = bytearray(), {}
+            while len(replies) < n:
+                chunk = sock.recv(1 << 16)
+                assert chunk, "server closed the connection"
+                buf += chunk
+                while len(buf) >= HEADER_SIZE:
+                    _, length = parse_header(bytes(buf[:HEADER_SIZE]))
+                    if len(buf) < HEADER_SIZE + length:
+                        break
+                    res = decode_result(bytes(buf[HEADER_SIZE:HEADER_SIZE + length]))
+                    replies[res.request_id] = res
+                    del buf[:HEADER_SIZE + length]
+            return replies
+
+        async def go():
+            engine = ServingEngine(
+                FakeBackend(), max_batch=max_batch, queue_depth=queue_depth
+            )
+            async with AsyncServingEngine(engine):
+                async with _free_server(engine) as server:
+                    host, port = server.address
+                    sock, sender, counters = await _stall_client(server)
+                    try:
+                        (writer,) = server._conns.values()
+                        unsent = writer.transport.get_write_buffer_size()
+                        in_flight = counters["frames_in"] - counters.get("frames_out", 0)
+                        async with await AsyncClient.connect(host, port) as other:
+                            res = await other.search(
+                                np.full(D, 7, dtype=np.float32), K
+                            )
+                            assert res.ids[0] == 700
+                        replies = await asyncio.to_thread(read_replies, sock)
+                        await sender
+                    finally:
+                        _drop(sock)
+                    return unsent, in_flight, replies
+
+        unsent, in_flight, replies = asyncio.run(go())
+        # Replies not yet handed to the kernel: the transport's high-water
+        # mark plus what was in flight when reading stopped, not n replies.
+        assert in_flight <= queue_depth + max_batch
+        assert unsent < (64 << 10) + (queue_depth + max_batch) * (12 * k + 64)
+        assert sorted(replies) == list(range(n))
+        for i, res in replies.items():
+            np.testing.assert_array_equal(res.ids, (i % 251) * 100 + np.arange(k))
+
+    def test_server_stop_drops_a_client_that_never_reads(self):
+        """stop() does not wait for a stalled client to read its replies."""
+
+        async def go():
+            engine = ServingEngine(FakeBackend(), max_batch=16, queue_depth=64)
+            async with AsyncServingEngine(engine):
+                server = await _free_server(engine).start()
+                sock, sender, _ = await _stall_client(server)
+                stopping = asyncio.ensure_future(server.stop())
+                try:
+                    done, _ = await asyncio.wait({stopping}, timeout=10)
+                    assert stopping in done, "stop() waited on a client that reads nothing"
+                    assert server.metrics.snapshot().gauges["connections_open"] == 0
+                finally:
+                    _drop(sock)
+                    await asyncio.gather(stopping, sender, return_exceptions=True)
+
+        asyncio.run(go())
+
+    def test_every_reply_arrives_under_thread_churn(self):
+        """More dispatcher threads than cores resolve into the completion
+        lists while the loop flushes them, with the interpreter switching
+        threads as often as it can: a lost append or a lost wake-up would
+        leave a request unanswered."""
+        connections, per_conn = 4, 400
+
+        async def go():
+            engine = ServingEngine(
+                FakeBackend(), max_batch=8, max_wait_us=50.0, dispatchers=4,
+                queue_depth=connections * per_conn, policy="shed",
+            )
+            async with AsyncServingEngine(engine):
+                async with _free_server(engine) as server:
+                    host, port = server.address
+                    clients = [
+                        await AsyncClient.connect(host, port)
+                        for _ in range(connections)
+                    ]
+                    try:
+                        futs = [
+                            c.submit(np.full(D, v, dtype=np.float32), K)
+                            for c in clients
+                            for v in range(per_conn)
+                        ]
+                        got = await asyncio.wait_for(asyncio.gather(*futs), 60)
+                    finally:
+                        for c in clients:
+                            await c.close()
+                    return got, server.metrics.snapshot().counters
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, counters = asyncio.run(go())
+        finally:
+            sys.setswitchinterval(interval)
+        want = np.arange(per_conn)[:, None] * 100 + np.arange(K)[None, :]
+        np.testing.assert_array_equal(
+            np.stack([g.ids for g in got]), np.tile(want, (connections, 1))
+        )
+        assert counters["frames_out"] == connections * per_conn
+
+    def test_traced_search_records_frontend_spans(self):
+        """A search frame with a sampled trace context records
+        ``frontend.submit`` and ``frontend.reply`` under the client's span."""
+        from repro.obs.trace import Tracer
+
+        async def go():
+            engine = ServingEngine(
+                FakeBackend(), max_batch=4, policy="shed",
+                tracer=Tracer(sample_rate=0.0),
+            )
+            client_tracer = Tracer(sample_rate=1.0)
+            async with AsyncServingEngine(engine):
+                async with _free_server(engine) as server:
+                    host, port = server.address
+                    async with await AsyncClient.connect(host, port) as client:
+                        root = client_tracer.start_trace("client.request")
+                        await client.search(
+                            np.zeros(D, dtype=np.float32), K, trace=root.context()
+                        )
+                        root.end()
+                        # An untraced request records nothing.
+                        await client.search(np.zeros(D, dtype=np.float32), K)
+            return root, engine.tracer.drain()
+
+        root, spans = asyncio.run(go())
+        by_name = {s["name"]: s for s in spans}
+        assert sorted(by_name) == [
+            "batch_assembly", "exec", "frontend.reply", "frontend.submit",
+            "queue", "request",
+        ]
+        submit, reply = by_name["frontend.submit"], by_name["frontend.reply"]
+        for s in (submit, reply, by_name["request"]):
+            assert (s["trace"], s["parent"]) == (root.trace_id, root.span_id)
+        assert submit["ts"] + submit["dur"] <= reply["ts"]
+        assert reply["ts"] + reply["dur"] <= root.t0_us + root.dur_us
 
 
 class TestConnectionMetrics:
