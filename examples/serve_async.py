@@ -24,7 +24,6 @@ import numpy as np
 from repro.harness.serve_bench import build_serving_index
 from repro.serve import (
     AsyncClient,
-    AsyncServingEngine,
     QuotaExceededError,
     ServingEngine,
     TenantPolicy,
@@ -99,13 +98,20 @@ async def main() -> None:
         index, max_batch=64, max_wait_us=500.0, policy="shed",
         discipline=discipline,
     )
-    async with AsyncServingEngine(engine) as aeng:
-        async with VectorSearchServer(aeng, backlog=CONNECTIONS) as server:
+    engine.start()
+    try:
+        # In process, the loop awaits the engine's own future directly.
+        res = await asyncio.wrap_future(engine.submit(pool[0], K, NPROBE))
+        print(f"in-process await: top id {res.ids[0]}")
+        async with VectorSearchServer(engine, backlog=CONNECTIONS) as server:
             host, port = server.address
             print(f"== serving on {host}:{port} ==")
             await closed_loop_sweep(host, port, pool)
             await pipelining_demo(host, port, pool)
             await quota_demo(host, port, pool)
+    finally:
+        # Joining the dispatchers must not block the loop.
+        await asyncio.to_thread(engine.stop)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,6 @@ Implements every algorithmic piece the paper depends on, in vectorized NumPy:
   trained index (the multi-accelerator layout).
 - :mod:`repro.ann.merge` — exact top-K merge of partial results under the
   canonical (distance, id) candidate order (the scatter-gather reduce).
-- :mod:`repro.ann.stages` — the six query-time search stages, individually
-  callable and instrumented (the unit the hardware accelerates).
 - :mod:`repro.ann.recall` — recall@K evaluation.
 """
 
@@ -32,7 +30,6 @@ from repro.ann.opq import OPQTransform
 from repro.ann.partition import partition_index, replicate_index
 from repro.ann.pq import ProductQuantizer
 from repro.ann.recall import recall_at_k
-from repro.ann.stages import SearchStageTrace, StagedSearcher
 
 __all__ = [
     "FlatIndex",
@@ -42,8 +39,6 @@ __all__ = [
     "OPQTransform",
     "PackedInvLists",
     "ProductQuantizer",
-    "SearchStageTrace",
-    "StagedSearcher",
     "brute_force_topk",
     "kmeans_fit",
     "load_index",

@@ -7,7 +7,7 @@ asymmetric distance computation (ADC) against a per-cell lookup table.
 
 The implementation mirrors Faiss ``IndexIVFPQ`` semantics (residual encoding
 by default, optional OPQ pre-transform) while keeping each of the paper's six
-search stages a separately callable function (see :mod:`repro.ann.stages`).
+search stages (:data:`STAGE_NAMES`) a separately callable method.
 
 Storage is the packed CSR layout of :mod:`repro.ann.invlists` — one
 contiguous ``(N, m) uint8`` code array, one ``(N,) int64`` id array, per-cell
@@ -46,7 +46,10 @@ from repro.ann.opq import OPQTransform
 from repro.ann.pq import ProductQuantizer
 from repro.obs.trace import current_span, now_us
 
-__all__ = ["IVFPQIndex", "IVFStats"]
+__all__ = ["IVFPQIndex", "IVFStats", "STAGE_NAMES"]
+
+#: The paper's six query-time search stages, in pipeline order.
+STAGE_NAMES = ("OPQ", "IVFDist", "SelCells", "BuildLUT", "PQDist", "SelK")
 
 #: Cap (in float32 elements) for one block's pair tables: search() splits the
 #: query batch so the numpy reference's (queries, nprobe, m, ksub) tables stay
@@ -216,7 +219,7 @@ class IVFPQIndex:
         return self
 
     # ------------------------------------------------------------------ #
-    # The six query-time stages (callable individually; see ann.stages).
+    # The six query-time stages (STAGE_NAMES), callable individually.
     def stage_opq(self, queries: np.ndarray) -> np.ndarray:
         """Stage OPQ: rotate queries (identity when OPQ is disabled)."""
         return self._transform(queries)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ann.ivf import IVFPQIndex
-from repro.ann.stages import STAGE_NAMES
+from repro.ann.ivf import STAGE_NAMES, IVFPQIndex
 from repro.core.config import AlgorithmParams
 
 __all__ = ["CPUBaseline", "CPUSpec", "expected_codes_for_index", "params_for_index"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ann.stages import STAGE_NAMES
+from repro.ann.ivf import STAGE_NAMES
 from repro.baselines.cpu import CPUBaseline
 from repro.baselines.gpu import GPUBaseline
 from repro.core.config import AlgorithmParams

@@ -99,7 +99,7 @@ from repro.obs.events import EventLog
 from repro.obs.export import write_chrome_trace
 from repro.obs.timeline import BurnRateRule, SLOMonitor, TelemetryCollector
 from repro.obs.trace import Tracer
-from repro.serve.aio import AsyncClient, AsyncServingEngine, VectorSearchServer
+from repro.serve.aio import AsyncClient, VectorSearchServer
 from repro.serve.backends import InstrumentedBackend, SimulatedDeviceBackend
 from repro.serve.cache import QueryResultCache
 from repro.serve.loadgen import (
@@ -736,25 +736,15 @@ def run_qos(
 # --------------------------------------------------------------------- #
 # Async connection-tier benchmark: thread-based vs asyncio front end.
 
-#: Modeled device for the connection-tier scenarios.  Sized like a real
-#: accelerator batch (milliseconds): while the device runs, its modeled
-#: sleep releases the GIL, so each front end's per-request CPU work
-#: (thread wake-ups vs event-loop frame handling) overlaps device time
-#: exactly as it would in production — the benchmark measures what the
-#: front end *adds*, at a realistic device-to-overhead ratio.
-ASYNC_FILL_US = 1000.0
-ASYNC_PER_QUERY_US = 200.0
+#: Batch window of the connection-tier scenarios' engines, which serve
+#: the index itself: the numbers are the host's real compute plus what
+#: each front end adds (thread wake-ups vs event-loop frame handling).
 ASYNC_MAX_BATCH = 256
 ASYNC_WAIT_US = 200.0
 
 #: Concurrent TCP connects while ramping up a connection sweep (past the
 #: kernel accept backlog, SYN retries would serialize the ramp anyway).
 CONNECT_CONCURRENCY = 128
-
-
-def async_service_us(batch: int) -> float:
-    """Modeled accelerator time for one batch in the async scenarios."""
-    return ASYNC_FILL_US + ASYNC_PER_QUERY_US * batch
 
 
 def _client_report(
@@ -859,9 +849,7 @@ async def _drive_async_closed_loop(
     lat_us: list[float] = []
     n_shed = 0
     n_errors = 0
-    async with VectorSearchServer(
-        AsyncServingEngine(engine), backlog=max(connections, 128)
-    ) as server:
+    async with VectorSearchServer(engine, backlog=max(connections, 128)) as server:
         host, port = server.address
         t_conn = time.perf_counter()
         clients = await _connect_clients(host, port, connections)
@@ -905,8 +893,8 @@ def _serve_over_socket(index: IVFPQIndex, queries: np.ndarray) -> tuple[np.ndarr
             index, max_batch=16, max_wait_us=2000.0, policy="shed",
             queue_depth=4 * len(queries),
         )
-        async with AsyncServingEngine(engine) as aeng:
-            async with VectorSearchServer(aeng) as srv:
+        with engine:
+            async with VectorSearchServer(engine) as srv:
                 host, port = srv.address
                 async with await AsyncClient.connect(host, port) as client:
                     # Pipelined, not sequential: every query in flight on
@@ -929,7 +917,7 @@ def run_async(
 ) -> BenchResult:
     """Measure thread vs async front ends across connection counts.
 
-    Each sweep point drives one engine (fresh simulated device) with C
+    Each sweep point drives one fresh engine over the index with C
     concurrent closed-loop clients: the thread front end uses C client
     threads calling the blocking ``engine.search``; the async front end
     opens C real TCP connections to a :class:`VectorSearchServer` on one
@@ -949,9 +937,8 @@ def run_async(
     for conns in connections:
 
         def fresh_engine() -> ServingEngine:
-            backend = SimulatedDeviceBackend(index, async_service_us)
             return ServingEngine(
-                backend,
+                index,
                 max_batch=ASYNC_MAX_BATCH,
                 max_wait_us=ASYNC_WAIT_US,
                 queue_depth=2 * conns + 16,
@@ -993,7 +980,7 @@ def run_async(
             rows,
             title=(
                 f"async serve: closed loop per connection, "
-                f"{requests_per_conn} requests/conn, simulated device "
+                f"{requests_per_conn} requests/conn "
                 f"(bit-identical through the socket protocol: "
                 f"{bit_identical})"
             ),

@@ -65,8 +65,8 @@ FRAME_RESULT = 0x02  # server -> client: one answer
 FRAME_ERROR = 0x03  # server -> client: shed / quota / failure
 FRAME_PRESELECT = 0x04  # router -> shard worker: preselected query batch
 FRAME_BATCH_RESULT = 0x05  # shard worker -> router: batched partial top-K
-FRAME_STATS_REQUEST = 0x06  # router -> worker: scrape metrics (+ drain spans)
-FRAME_STATS = 0x07  # worker -> router: metrics snapshot + drained spans
+FRAME_STATS_REQUEST = 0x06  # router -> worker: scrape metrics
+FRAME_STATS = 0x07  # worker -> router: metrics snapshot
 
 #: Upper bound on any payload; a corrupt or hostile length prefix must
 #: never make a peer buffer gigabytes (a 4096-d f32 query is ~16 KiB).
@@ -101,8 +101,8 @@ BATCH_RESULT_FIXED = struct.Struct("<IIHBfQ")
 #: The flag bit itself carries the head-sampling decision, so an
 #: untraced frame is byte-identical to the pre-tracing layout.
 TRACE_CTX = struct.Struct("<QQ")
-#: Stats-request payload: request_id u32, flags u8 (bit 0 = drain spans).
-STATS_REQUEST_FIXED = struct.Struct("<IB")
+#: Stats-request payload: request_id u32.
+STATS_REQUEST_FIXED = struct.Struct("<I")
 #: Stats payload: request_id u32, followed by a JSON snapshot blob
 #: (length implied by the frame's payload length).
 STATS_FIXED = struct.Struct("<I")

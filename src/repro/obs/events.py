@@ -15,12 +15,10 @@ Design mirrors the tracer's buffer (the same constraints apply):
   test.
 - **Bounded.**  The buffer holds at most ``capacity`` records; overflow
   increments :attr:`EventLog.dropped` and discards, never grows.
-- **Cross-process mergeable.**  Records carry their emitting ``pid``; a
-  front-end server's journal drains over the stats frame pair (the
-  ``drain_events`` flag) and :meth:`EventLog.ingest` merges such records
-  into one journal.  Shard workers keep no journal: admission and
-  recovery, and so every event they would record, live in the router
-  process.
+- **One journal per router.**  Records carry their emitting ``pid``, but
+  shard workers keep no journal: admission and recovery, and so every
+  event they would record, live in the router process, which reads its
+  own journal with :meth:`EventLog.events`.
 
 Record shape::
 
@@ -95,7 +93,7 @@ class EventLog:
 
         ``etype`` must be a member of :data:`EVENT_TYPES`; ``attrs``
         become top-level keys of the record and must be JSON-encodable
-        (they cross the stats frame as JSON).  The timestamp is stamped
+        (the journal is written out as JSON).  The timestamp is stamped
         here, on the host-wide monotonic clock.
         """
         if etype not in EVENT_TYPES:
@@ -108,29 +106,9 @@ class EventLog:
                 self._dropped += 1
         return record
 
-    def ingest(self, records) -> None:
-        """Merge foreign records (e.g. drained from a worker process).
-
-        Records are trusted to already carry ``ts``/``type``/``pid`` —
-        they were emitted by an :class:`EventLog` on the far side; the
-        wire layer (``decode_stats``) has already validated the JSON.
-        """
-        with self._lock:
-            for record in records:
-                if len(self._buf) < self.capacity:
-                    self._buf.append(record)
-                else:
-                    self._dropped += 1
-
     def events(self, etype: str | None = None) -> list[dict]:
         """Snapshot copy of buffered records (optionally one type only)."""
         with self._lock:
             if etype is None:
                 return list(self._buf)
             return [r for r in self._buf if r["type"] == etype]
-
-    def drain(self) -> list[dict]:
-        """Remove and return every buffered record (oldest first)."""
-        with self._lock:
-            out, self._buf = self._buf, []
-        return out

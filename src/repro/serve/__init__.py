@@ -26,12 +26,12 @@ drop-in admission-queue discipline for the engine), and an SLO-driven
 adaptive batch window (:class:`AdaptiveBatchWindow`).
 
 The asyncio connection tier lives in :mod:`repro.serve.aio`:
-:class:`AsyncServingEngine` (awaitable facade bridging the engine's
-futures onto the event loop), :class:`VectorSearchServer` /
-:class:`AsyncClient` (a length-prefixed binary socket protocol,
-:mod:`repro.serve.protocol`, whose framing constants are shared with the
-hardware network models via :mod:`repro.net.wire`) — one process holding
-thousands of open connections over the same batching engine.
+:class:`VectorSearchServer` / :class:`AsyncClient` (a length-prefixed
+binary socket protocol, :mod:`repro.serve.protocol`, whose framing
+constants are shared with the hardware network models via
+:mod:`repro.net.wire`) — one process holding thousands of open
+connections over the same batching engine.  In-process asyncio code
+awaits the engine directly: ``asyncio.wrap_future(engine.submit(...))``.
 
 The multi-process data plane lives in :mod:`repro.serve.workers`:
 :class:`WorkerPool` spawns one OS process per shard, each memory-mapping
@@ -43,12 +43,7 @@ ships each worker its pruned cell subset over a single preselect frame,
 the one request kind a worker serves.
 """
 
-from repro.serve.aio import (
-    AsyncClient,
-    AsyncServingEngine,
-    RemoteServeError,
-    VectorSearchServer,
-)
+from repro.serve.aio import AsyncClient, RemoteServeError, VectorSearchServer
 from repro.serve.backends import (
     InstrumentedBackend,
     SearchBackend,
@@ -97,7 +92,6 @@ __all__ = [
     "AdaptiveBatchWindow",
     "AdmissionError",
     "AsyncClient",
-    "AsyncServingEngine",
     "InstrumentedBackend",
     "LatencyStats",
     "LoadReport",

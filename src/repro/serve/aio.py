@@ -7,25 +7,17 @@ module is the **connection tier** that removes that cap: an event loop
 multiplexes any number of open sockets onto the same engine, whose
 dispatcher threads keep batching exactly as before.
 
-Three pieces:
+Two pieces:
 
-- :class:`AsyncServingEngine` — an awaitable facade over a running
-  engine.  ``submit`` returns an :class:`asyncio.Future` resolved from
-  the engine's done-callbacks via ``loop.call_soon_threadsafe`` (no
-  executor threads on the request path), preserving tenant/priority
-  tags, backpressure (a shed raises out of the ``await``), and
-  bit-identical results.  Cancelling the awaitable (a vanished client)
-  cancels the queued engine request; the dispatcher drops it at batch
-  time without touching its batch-mates.
 - :class:`VectorSearchServer` — an ``asyncio.start_server`` front end
   speaking the length-prefixed binary protocol of
   :mod:`repro.serve.protocol` (framing constants shared with the
   hardware network models in :mod:`repro.net.wire`).  Connections
   pipeline freely and responses return in completion order, correlated
-  by request id.  Search frames go straight to the engine with no task
-  or asyncio future per request: one connection's completions wake the
-  loop once per burst and leave as one joined ``write``.  Quota sheds
-  answer with an error frame carrying the token bucket's
+  by request id.  Search frames go straight to ``engine.submit`` with no
+  task or asyncio future per request: one connection's completions wake
+  the loop once per burst and leave as one joined ``write``.  Quota
+  sheds answer with an error frame carrying the token bucket's
   ``retry_after_s``.
 - :class:`AsyncClient` — the matching client: ``submit`` pipelines,
   ``search`` awaits one answer, remote sheds re-raise as the same
@@ -34,12 +26,19 @@ Three pieces:
   uses (``retry_after_s`` included), so callers cannot tell a local
   engine from a remote one.
 
-**Pair the engine with ``policy="shed"``.**  The facade and the server
-call ``engine.submit`` on the event loop; under the ``block`` policy a full
-queue (or an exhausted quota) would park the whole loop — every
-connection, not just the offender.  Shed turns backpressure into an
-exception on exactly the request that hit it, which is the only
-per-connection signal an event loop can deliver.
+In-process asyncio code needs no bridge of its own:
+``await asyncio.wrap_future(engine.submit(q, k))`` resolves on the loop,
+and cancelling it cancels the queued engine request (the dispatcher
+drops it at batch time without touching its batch-mates).  Stop the
+engine with ``await asyncio.to_thread(engine.stop)`` where the loop must
+stay live while the dispatchers drain.
+
+**Pair the engine with ``policy="shed"``.**  The server (and any caller
+on the loop) calls ``engine.submit`` on the event loop; under the
+``block`` policy a full queue (or an exhausted quota) would park the
+whole loop — every connection, not just the offender.  Shed turns
+backpressure into an exception on exactly the request that hit it,
+which is the only per-connection signal an event loop can deliver.
 
 **Invariant (bit-identical results).**  The async tier changes how bytes
 reach the engine, never what it computes; ids/dists cross the wire as
@@ -92,127 +91,15 @@ from repro.serve.scheduler import ServeResult, ServingEngine
 
 __all__ = [
     "AsyncClient",
-    "AsyncServingEngine",
     "RemoteServeError",
     "VectorSearchServer",
 ]
 
-
-class AsyncServingEngine:
-    """Awaitable facade over a (running) :class:`ServingEngine`.
-
-    Wraps the engine's ``concurrent.futures`` completion into asyncio
-    futures on the calling loop — the request path never touches an
-    executor thread; only lifecycle helpers (``stop``) hop to a thread,
-    because joining dispatcher threads must not block the loop.
-
-    One facade serves one event loop at a time (the loop is captured per
-    ``submit``); the underlying engine may simultaneously serve blocking
-    threads — both fronts share the same admission queue and QoS
-    discipline.
-    """
-
-    def __init__(self, engine: ServingEngine):
-        self.engine = engine
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    def start(self) -> "AsyncServingEngine":
-        """Start the wrapped engine (idempotent if already running)."""
-        if not self.engine._workers:
-            self.engine.start()
-        return self
-
-    async def stop(self) -> None:
-        """Drain and stop the engine without blocking the event loop.
-
-        ``ServingEngine.stop`` serves every admitted request before the
-        dispatchers exit, so every pending ``await`` resolves — with its
-        answer, not a cancellation.
-        """
-        await asyncio.to_thread(self.engine.stop)
-
-    async def __aenter__(self) -> "AsyncServingEngine":
-        """Async context entry: start the engine."""
-        return self.start()
-
-    async def __aexit__(self, *exc) -> None:
-        """Async context exit: drain and stop the engine."""
-        await self.stop()
-
-    # ------------------------------------------------------------------ #
-    # Request path
-    def submit(
-        self,
-        query: np.ndarray,
-        k: int,
-        nprobe: int | None = None,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        priority: bool = False,
-        trace: SpanContext | None = None,
-    ) -> "asyncio.Future[ServeResult]":
-        """Enqueue one query; returns an asyncio future for its result.
-
-        Must be called on a running event loop.  Backpressure surfaces
-        synchronously: on a ``shed``-policy engine a full queue raises
-        :class:`AdmissionError` and an exhausted tenant quota raises
-        :class:`QuotaExceededError` (with ``retry_after_s``) from this
-        call, before anything is awaited.  Cancelling the returned
-        future cancels the queued engine request — the dispatcher skips
-        it at batch time, so an abandoned connection costs no backend
-        work and never poisons co-batched requests.  ``trace`` continues
-        a remote trace context (from a traced search frame).
-        """
-        loop = asyncio.get_running_loop()
-        afut: asyncio.Future = loop.create_future()
-        cfut = self.engine.submit(
-            query, k, nprobe, tenant=tenant, priority=priority, trace=trace
-        )
-
-        def _transfer() -> None:
-            # Runs on the loop: move the engine future's outcome over.
-            if afut.done():
-                return  # waiter cancelled in the meantime; drop the result
-            if cfut.cancelled():
-                afut.cancel()
-            elif (exc := cfut.exception()) is not None:
-                afut.set_exception(exc)
-            else:
-                afut.set_result(cfut.result())
-
-        def _on_engine_done(_cf) -> None:
-            # Runs on a dispatcher thread (or inline for cache hits).
-            try:
-                loop.call_soon_threadsafe(_transfer)
-            except RuntimeError:
-                pass  # loop already closed; nobody is waiting
-
-        cfut.add_done_callback(_on_engine_done)
-
-        def _on_waiter_done(af: asyncio.Future) -> None:
-            if af.cancelled():
-                # Still queued -> the cancel sticks and the dispatcher
-                # drops it; already resolving -> cancel fails, harmless.
-                cfut.cancel()
-
-        afut.add_done_callback(_on_waiter_done)
-        return afut
-
-    async def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        nprobe: int | None = None,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        priority: bool = False,
-        trace: SpanContext | None = None,
-    ) -> ServeResult:
-        """Submit one query and await its :class:`ServeResult`."""
-        return await self.submit(
-            query, k, nprobe, tenant=tenant, priority=priority, trace=trace
-        )
+#: Search frames one connection may have read but not yet answered.  At
+#: the cap its reader waits for a flush before reading the next frame,
+#: so one client's unsent replies stay bounded whatever the engine's
+#: admission queue depth.
+_CONN_INFLIGHT_CAP = 256
 
 
 class VectorSearchServer:
@@ -225,14 +112,14 @@ class VectorSearchServer:
     connection wake the loop once per burst, and the burst's replies
     leave as one joined ``write``.  The reader drains the transport
     before every frame: a client that stops reading its replies stops
-    being read.  A client that disconnects mid-request has its in-flight
-    engine requests cancelled — the dispatcher drops them at batch time,
-    batch-mates unaffected.
+    being read, and one with :data:`_CONN_INFLIGHT_CAP` searches
+    unanswered is not read until some are.  A client that disconnects
+    mid-request has its in-flight engine requests cancelled — the
+    dispatcher drops them at batch time, batch-mates unaffected.
 
     Parameters
     ----------
-    engine : a :class:`ServingEngine`, an :class:`AsyncServingEngine`
-        (unwrapped to its engine), or ``None`` for a shard worker
+    engine : a :class:`ServingEngine`, or ``None`` for a shard worker
         (:mod:`repro.serve.workers`), which answers preselect and stats
         frames only: a search frame drops the connection like any other
         invalid client traffic.  Start/stop of the engine stays with the
@@ -271,7 +158,7 @@ class VectorSearchServer:
 
     def __init__(
         self,
-        engine: ServingEngine | AsyncServingEngine | None,
+        engine: ServingEngine | None,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -281,10 +168,8 @@ class VectorSearchServer:
     ):
         if engine is None and preselect_backend is None:
             raise ValueError("a server needs an engine or a preselect_backend")
-        #: The engine search frames go to (unwrapped from a facade).
-        self.engine: ServingEngine | None = (
-            engine.engine if isinstance(engine, AsyncServingEngine) else engine
-        )
+        #: The engine search frames go to.
+        self.engine = engine
         self.host = host
         self.port = port
         self.backlog = backlog
@@ -396,7 +281,10 @@ class VectorSearchServer:
         ``flush`` writes the whole burst as one joined ``write``.
         Preselect and stats frames run as one task each and reply through
         the same ``send``.  The reader awaits ``drain`` before every
-        frame, so a client that stops reading stops being read.
+        frame, so a client that stops reading stops being read, and with
+        :data:`_CONN_INFLIGHT_CAP` searches unanswered it waits for a
+        flush, so a connection never has more searches than that in
+        flight.
         """
         conn = asyncio.current_task()
         if conn is not None:
@@ -412,6 +300,7 @@ class VectorSearchServer:
         loop = asyncio.get_running_loop()
         engine, tracer = self.engine, self.tracer
         inflight: set[Future] = set()  # engine futures not yet flushed
+        room = asyncio.Event()  # set by flush once inflight is below the cap
         tasks: set[asyncio.Task] = set()  # preselect and stats replies
         done: list = []  # (request, engine future, reply span) to write
         done_lock = threading.Lock()
@@ -443,6 +332,8 @@ class VectorSearchServer:
             send(frames)
             for span in spans:
                 span.end()
+            if len(inflight) < _CONN_INFLIGHT_CAP:
+                room.set()
 
         def completed(req: SearchFrame, fut: Future) -> None:
             # On a dispatcher thread (inline on the loop for a cache hit or
@@ -479,6 +370,9 @@ class VectorSearchServer:
 
         try:
             while True:
+                while len(inflight) >= _CONN_INFLIGHT_CAP:
+                    room.clear()
+                    await room.wait()
                 try:
                     # Backpressure: while the transport holds unread
                     # replies above its high-water mark, read nothing.
@@ -599,13 +493,12 @@ class VectorSearchServer:
         )
 
     async def _stats_reply(self, req: StatsRequestFrame) -> bytes:
-        """Answer one metrics scrape: registry snapshot, optional drains.
+        """Answer one metrics scrape with a registry snapshot.
 
         The worker side of ``WorkerPool.stats()``: ships this process's
         full :class:`~repro.serve.metrics.MetricsRegistry` snapshot (plus
         pid, so the scraper can label lanes) and the tracer's dropped-span
-        count.  When the request asks, the tracer's buffered spans and
-        the engine's event journal drain into the reply.
+        count.
         """
         data: dict = {
             "pid": os.getpid(),
@@ -613,12 +506,6 @@ class VectorSearchServer:
         }
         if self.tracer is not None:
             data["dropped_spans"] = self.tracer.dropped
-            if req.drain_spans:
-                data["spans"] = self.tracer.drain()
-        events = self.engine.events if self.engine is not None else None
-        if events is not None and req.drain_events:
-            data["events"] = events.drain()
-            data["dropped_events"] = events.dropped
         return encode_stats(req.request_id, data)
 
     async def _serve_metrics_conn(

@@ -30,8 +30,8 @@ decision across the process boundary.  Traced scatters ship the
 worker-side spans back piggybacked on the batch-result frame (a
 length-prefixed JSON blob, also flag-gated), which is every span a
 worker records.  The stats frame pair is the metrics-scrape channel for
-``WorkerPool.stats()``; its drain flags empty a front-end server's span
-buffer and event journal into the reply.
+``WorkerPool.stats()``: the request is its id alone, the reply one JSON
+snapshot.
 
 Every payload starts with its u32 request id (:func:`request_id_of`
 reads it without decoding the rest).
@@ -121,9 +121,6 @@ FLAG_PARTIAL = 0x02
 PRESELECT_FLAG_TRACED = 0x01  # payload ends with a TRACE_CTX tail
 #: Flag bits of a batch-result frame.
 BATCH_FLAG_SPANS = 0x01  # payload ends with a span JSON blob
-#: Flag bits of a stats-request frame.
-STATS_FLAG_DRAIN_SPANS = 0x01  # also drain + return buffered spans
-STATS_FLAG_DRAIN_EVENTS = 0x02  # also drain + return the event journal
 
 
 #: Bytes of the frame header every frame starts with.
@@ -571,35 +568,24 @@ class StatsRequestFrame:
     """One decoded metrics-scrape request (router → worker)."""
 
     request_id: int
-    drain_spans: bool
-    drain_events: bool = False
 
 
 @dataclass(frozen=True)
 class StatsFrame:
     """One decoded metrics snapshot (worker → router).
 
-    ``data`` is the worker's JSON-encoded view: pid, registry counters
-    and gauges, scan counters, and any drained span records.
+    ``data`` is the worker's JSON-encoded view: pid, the registry
+    snapshot and the tracer's dropped-span count.
     """
 
     request_id: int
     data: dict
 
 
-def encode_stats_request(
-    request_id: int, *, drain_spans: bool = False, drain_events: bool = False
-) -> bytes:
-    """Encode a stats-scrape request; ``drain_spans`` also empties the
-    worker's span buffer into the reply and ``drain_events`` does the
-    same for its typed event journal (the cross-process merge channel of
-    :class:`repro.obs.events.EventLog`)."""
-    flags = (STATS_FLAG_DRAIN_SPANS if drain_spans else 0) | (
-        STATS_FLAG_DRAIN_EVENTS if drain_events else 0
-    )
+def encode_stats_request(request_id: int) -> bytes:
+    """Encode a stats-scrape request (the request id alone)."""
     return _frame(
-        FRAME_STATS_REQUEST,
-        STATS_REQUEST_FIXED.pack(request_id & 0xFFFFFFFF, flags),
+        FRAME_STATS_REQUEST, STATS_REQUEST_FIXED.pack(request_id & 0xFFFFFFFF)
     )
 
 
@@ -610,12 +596,8 @@ def decode_stats_request(payload: bytes) -> StatsRequestFrame:
             f"stats-request payload is {len(payload)} bytes, "
             f"expected {STATS_REQUEST_FIXED.size}"
         )
-    request_id, flags = STATS_REQUEST_FIXED.unpack(payload)
-    return StatsRequestFrame(
-        request_id=request_id,
-        drain_spans=bool(flags & STATS_FLAG_DRAIN_SPANS),
-        drain_events=bool(flags & STATS_FLAG_DRAIN_EVENTS),
-    )
+    (request_id,) = STATS_REQUEST_FIXED.unpack(payload)
+    return StatsRequestFrame(request_id=request_id)
 
 
 def encode_stats(request_id: int, data: dict) -> bytes:

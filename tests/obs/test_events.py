@@ -46,17 +46,8 @@ class TestCapacity:
         assert len(log) == 3
         assert log.dropped == 2
 
-    def test_drain_frees_capacity(self):
-        log = EventLog(capacity=2)
-        log.emit("shed")
-        log.emit("shed")
-        drained = log.drain()
-        assert len(drained) == 2 and len(log) == 0
-        rec = log.emit("quota_exceeded", tenant="t")
-        assert log.events() == [rec]
 
-
-class TestFilterAndIngest:
+class TestFilter:
     def test_events_filters_by_type(self):
         log = EventLog()
         log.emit("shed")
@@ -64,20 +55,3 @@ class TestFilterAndIngest:
         log.emit("shed")
         assert [e["type"] for e in log.events("shed")] == ["shed", "shed"]
         assert len(log.events()) == 3
-
-    def test_ingest_merges_foreign_records(self):
-        """Worker-side journals ride stats frames and merge by ingest."""
-        worker = EventLog()
-        worker.emit("shed", tenant="w")
-        router = EventLog()
-        router.emit("worker_restart", shard=0, replica=1)
-        router.ingest(worker.drain())
-        types = {e["type"] for e in router.events()}
-        assert types == {"shed", "worker_restart"}
-
-    def test_ingest_respects_capacity(self):
-        log = EventLog(capacity=1)
-        log.emit("shed")
-        log.ingest([{"ts": 1, "type": "shed", "pid": 42}])
-        assert len(log) == 1
-        assert log.dropped == 1

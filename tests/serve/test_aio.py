@@ -19,7 +19,6 @@ from repro.data.synthetic import make_clustered
 from repro.serve import (
     AdmissionError,
     AsyncClient,
-    AsyncServingEngine,
     QuotaExceededError,
     RemoteServeError,
     ServingEngine,
@@ -84,6 +83,9 @@ async def _await_entered(backend: GatedBackend) -> None:
 
 
 class TestAsyncEngineFacade:
+    """In-process asyncio callers await the engine's own futures through
+    ``asyncio.wrap_future``: the loop-side contract the server relies on."""
+
     def test_results_bit_identical_to_direct_search(self, small_index):
         index, queries = small_index
         ref_ids, ref_dists = index.search(queries, K, NPROBE)
@@ -93,8 +95,11 @@ class TestAsyncEngineFacade:
                 index, max_batch=8, max_wait_us=5000.0,
                 queue_depth=4 * len(queries), policy="shed",
             )
-            async with AsyncServingEngine(engine) as aeng:
-                futs = [aeng.submit(q, K, NPROBE) for q in queries]
+            with engine:
+                futs = [
+                    asyncio.wrap_future(engine.submit(q, K, NPROBE))
+                    for q in queries
+                ]
                 return await asyncio.gather(*futs)
 
         got = asyncio.run(serve())
@@ -110,15 +115,17 @@ class TestAsyncEngineFacade:
             engine = ServingEngine(
                 be, max_batch=1, queue_depth=1, policy="shed"
             )
-            async with AsyncServingEngine(engine) as aeng:
+            with engine:
                 q = np.zeros(D, dtype=np.float32)
-                first = aeng.submit(q, K)  # dequeued into the backend
+                first = engine.submit(q, K)  # dequeued into the backend
                 await _await_entered(be)
-                second = aeng.submit(q, K)  # fills the queue slot
+                second = engine.submit(q, K)  # fills the queue slot
                 with pytest.raises(AdmissionError, match="shed"):
-                    aeng.submit(q, K)
+                    engine.submit(q, K)
                 be.gate.set()
-                await asyncio.gather(first, second)
+                await asyncio.gather(
+                    asyncio.wrap_future(first), asyncio.wrap_future(second)
+                )
 
         asyncio.run(go())
 
@@ -131,11 +138,11 @@ class TestAsyncEngineFacade:
                 FakeBackend(), max_batch=4, policy="shed",
                 discipline=discipline,
             )
-            async with AsyncServingEngine(engine) as aeng:
+            with engine:
                 q = np.zeros(D, dtype=np.float32)
-                await aeng.submit(q, K, tenant="t")
+                await asyncio.wrap_future(engine.submit(q, K, tenant="t"))
                 with pytest.raises(QuotaExceededError) as exc_info:
-                    aeng.submit(q, K, tenant="t")
+                    engine.submit(q, K, tenant="t")
                 # One token burned, refill at 0.5/s: ~2 s until the next.
                 assert exc_info.value.retry_after_s == pytest.approx(2.0, rel=0.1)
 
@@ -148,12 +155,16 @@ class TestAsyncEngineFacade:
 
         async def go():
             engine = ServingEngine(be, max_batch=1, queue_depth=8)
-            async with AsyncServingEngine(engine) as aeng:
-                q = lambda v: np.full(D, v, dtype=np.float32)  # noqa: E731
-                blocker = aeng.submit(q(1), K)  # occupies the dispatcher
+            with engine:
+
+                def submit(v):
+                    q = np.full(D, v, dtype=np.float32)
+                    return asyncio.wrap_future(engine.submit(q, K))
+
+                blocker = submit(1)  # occupies the dispatcher
                 await _await_entered(be)
-                doomed = aeng.submit(q(2), K)
-                survivor = aeng.submit(q(3), K)
+                doomed = submit(2)
+                survivor = submit(3)
                 doomed.cancel()
                 # Done-callbacks run on the next loop pass; yield so the
                 # cancellation reaches the engine future before dispatch.
@@ -178,19 +189,19 @@ class TestAsyncEngineFacade:
 
         async def go():
             engine = ServingEngine(be, max_batch=2)
-            aeng = AsyncServingEngine(engine).start()
+            engine.start()
             q = np.zeros(D, dtype=np.float32)
-            futs = [aeng.submit(q, K) for _ in range(8)]
-            await aeng.stop()
+            futs = [asyncio.wrap_future(engine.submit(q, K)) for _ in range(8)]
+            await asyncio.to_thread(engine.stop)
             results = await asyncio.gather(*futs)
             assert all(r.ids.shape == (K,) for r in results)
 
         asyncio.run(go())
 
 
-def _free_server(engine_or_aeng):
+def _free_server(engine):
     """A server on an ephemeral localhost port."""
-    return VectorSearchServer(engine_or_aeng)
+    return VectorSearchServer(engine)
 
 
 class TestSocketServer:
@@ -203,8 +214,8 @@ class TestSocketServer:
                 index, max_batch=8, max_wait_us=5000.0,
                 queue_depth=4 * len(queries), policy="shed",
             )
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
                         futs = [client.submit(q, K, NPROBE) for q in queries]
@@ -225,8 +236,8 @@ class TestSocketServer:
             engine = ServingEngine(
                 FakeBackend(), max_batch=4, policy="shed", discipline=discipline
             )
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
                         res = await client.search(
@@ -250,8 +261,8 @@ class TestSocketServer:
                 FakeBackend(), max_batch=4, policy="shed",
                 discipline=discipline,
             )
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
                         q = np.zeros(D, dtype=np.float32)
@@ -269,8 +280,8 @@ class TestSocketServer:
 
         async def go():
             engine = ServingEngine(be, max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
                         with pytest.raises(RemoteServeError, match="exploded"):
@@ -291,8 +302,8 @@ class TestSocketServer:
 
         async def go():
             engine = ServingEngine(be, max_batch=1, queue_depth=8)
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     keeper = await AsyncClient.connect(host, port)
                     leaver = await AsyncClient.connect(host, port)
@@ -325,8 +336,8 @@ class TestSocketServer:
     def test_garbage_bytes_drop_connection_not_server(self):
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     reader, writer = await asyncio.open_connection(host, port)
                     writer.write(b"GET / HTTP/1.1\r\n\r\n")
@@ -347,8 +358,8 @@ class TestSocketServer:
 
         async def go():
             engine = ServingEngine(be, max_batch=1, queue_depth=8)
-            async with AsyncServingEngine(engine) as aeng:
-                server = await _free_server(aeng).start()
+            with engine:
+                server = await _free_server(engine).start()
                 host, port = server.address
                 client = await AsyncClient.connect(host, port)
                 fut = client.submit(np.zeros(D, dtype=np.float32), K)
@@ -368,8 +379,8 @@ class TestSocketServer:
 
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                server = await _free_server(aeng).start()
+            with engine:
+                server = await _free_server(engine).start()
                 client = await AsyncClient.connect(*server.address)
                 await client.search(np.zeros(D, dtype=np.float32), K)
                 await server.stop()
@@ -414,8 +425,9 @@ async def _stall_client(server):
 
     The socket has a small receive buffer and sends ``STALL_REQUESTS``
     frames from a thread.  Returns ``(sock, sender, counters)`` once the
-    server has stopped reading it (``frames_in`` flat over a poll), after
-    asserting that it did stop short of the last frame.
+    server has stopped reading it and answering it (``frames_in`` and
+    ``frames_out`` flat over a poll), after asserting that it did stop
+    short of the last frame.
     """
     from repro.serve.protocol import encode_search
 
@@ -428,15 +440,16 @@ async def _stall_client(server):
     sock.settimeout(60)
     sock.connect(server.address)
     sender = asyncio.ensure_future(asyncio.to_thread(sock.sendall, requests))
-    seen = -1
+    seen = None
     try:
         while True:
             await asyncio.sleep(0.25)
             counters = server.metrics.snapshot().counters
-            if counters["frames_in"] == seen:
+            flow = (counters["frames_in"], counters.get("frames_out", 0))
+            if flow == seen:
                 break
-            seen = counters["frames_in"]
-        assert seen < STALL_REQUESTS, "the server kept reading a client that reads nothing"
+            seen = flow
+        assert seen[0] < STALL_REQUESTS, "the server kept reading a client that reads nothing"
     except BaseException:
         _drop(sock)
         raise
@@ -456,6 +469,22 @@ def _drop(sock) -> None:
     sock.close()
 
 
+class SlowFirstBatchBackend(FakeBackend):
+    """Its first batch takes ``first_s``: meanwhile the server's reader
+    outpaces the engine, as it does behind any stall of the dispatcher."""
+
+    def __init__(self, first_s: float):
+        super().__init__()
+        self.first_s = first_s
+        self.calls = 0
+
+    def search_batch(self, queries, k, nprobe=None):
+        self.calls += 1
+        if self.calls == 1:
+            time.sleep(self.first_s)
+        return super().search_batch(queries, k, nprobe)
+
+
 class TestCoalescedReplies:
     """One loop wake-up and one ``write`` per engine batch and connection."""
 
@@ -471,7 +500,7 @@ class TestCoalescedReplies:
                 be, max_batch=8, max_wait_us=30e6, policy="shed"
             )
             futs = _tap_submits(engine)
-            async with AsyncServingEngine(engine):
+            with engine:
                 async with _free_server(engine) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
@@ -526,7 +555,7 @@ class TestCoalescedReplies:
             engine = ServingEngine(
                 be, max_batch=8, max_wait_us=30e6, policy="shed"
             )
-            async with AsyncServingEngine(engine):
+            with engine:
                 async with _free_server(engine) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
@@ -550,15 +579,19 @@ class TestCoalescedReplies:
         assert be.calls == 1
         assert counters["frames_in"] == counters["frames_out"] == 9
 
-    def test_client_that_never_reads_stops_being_read(self):
+    @pytest.mark.parametrize("queue_depth", [64, 4096])
+    def test_client_that_never_reads_stops_being_read(self, queue_depth):
         """A client that pipelines but never reads: the server stops
         reading it, its unwritten replies stay bounded, other connections
         are served, and once it reads every request is answered."""
+        from repro.serve.aio import _CONN_INFLIGHT_CAP
         from repro.serve.protocol import HEADER_SIZE, decode_result, parse_header
 
         n, k = STALL_REQUESTS, STALL_K
-        # The admission queue bounds a connection's requests in flight.
-        queue_depth, max_batch = 64, 16
+        # The admission queue or, when that is deeper, the per-connection
+        # cap bounds a connection's requests in flight.
+        max_batch = 16
+        bound = min(queue_depth + max_batch, _CONN_INFLIGHT_CAP)
 
         def read_replies(sock) -> dict:
             buf, replies = bytearray(), {}
@@ -576,10 +609,13 @@ class TestCoalescedReplies:
             return replies
 
         async def go():
+            # The first batch outlasts reading the whole pipeline, yet
+            # not a poll of _stall_client.
             engine = ServingEngine(
-                FakeBackend(), max_batch=max_batch, queue_depth=queue_depth
+                SlowFirstBatchBackend(0.2), max_batch=max_batch,
+                queue_depth=queue_depth,
             )
-            async with AsyncServingEngine(engine):
+            with engine:
                 async with _free_server(engine) as server:
                     host, port = server.address
                     sock, sender, counters = await _stall_client(server)
@@ -601,8 +637,8 @@ class TestCoalescedReplies:
         unsent, in_flight, replies = asyncio.run(go())
         # Replies not yet handed to the kernel: the transport's high-water
         # mark plus what was in flight when reading stopped, not n replies.
-        assert in_flight <= queue_depth + max_batch
-        assert unsent < (64 << 10) + (queue_depth + max_batch) * (12 * k + 64)
+        assert in_flight <= bound
+        assert unsent < (64 << 10) + bound * (12 * k + 64)
         assert sorted(replies) == list(range(n))
         for i, res in replies.items():
             np.testing.assert_array_equal(res.ids, (i % 251) * 100 + np.arange(k))
@@ -612,7 +648,7 @@ class TestCoalescedReplies:
 
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=16, queue_depth=64)
-            async with AsyncServingEngine(engine):
+            with engine:
                 server = await _free_server(engine).start()
                 sock, sender, _ = await _stall_client(server)
                 stopping = asyncio.ensure_future(server.stop())
@@ -638,7 +674,7 @@ class TestCoalescedReplies:
                 FakeBackend(), max_batch=8, max_wait_us=50.0, dispatchers=4,
                 queue_depth=connections * per_conn, policy="shed",
             )
-            async with AsyncServingEngine(engine):
+            with engine:
                 async with _free_server(engine) as server:
                     host, port = server.address
                     clients = [
@@ -680,7 +716,7 @@ class TestCoalescedReplies:
                 tracer=Tracer(sample_rate=0.0),
             )
             client_tracer = Tracer(sample_rate=1.0)
-            async with AsyncServingEngine(engine):
+            with engine:
                 async with _free_server(engine) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
@@ -713,8 +749,8 @@ class TestConnectionMetrics:
 
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     c1 = await AsyncClient.connect(host, port)
                     c2 = await AsyncClient.connect(host, port)
@@ -744,8 +780,8 @@ class TestConnectionMetrics:
 
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     reader, writer = await asyncio.open_connection(host, port)
                     writer.write(b"\x00" * 32)
@@ -767,8 +803,8 @@ class TestConnectionMetrics:
 
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     reader, writer = await asyncio.open_connection(host, port)
                     writer.write(
@@ -807,8 +843,8 @@ class TestPreselectFrames:
 
         async def go():
             engine = ServingEngine(engine_view, max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                server = VectorSearchServer(aeng, preselect_backend=scan_view)
+            with engine:
+                server = VectorSearchServer(engine, preselect_backend=scan_view)
                 async with server:
                     host, port = server.address
                     reader, writer = await asyncio.open_connection(host, port)
@@ -837,8 +873,8 @@ class TestPreselectFrames:
 
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
                     reader, writer = await asyncio.open_connection(host, port)
                     writer.write(
@@ -858,13 +894,13 @@ class TestPreselectFrames:
 
 
 class TestTelemetryEndpoints:
-    """The Prometheus scrape port and the stats-frame event drain."""
+    """The Prometheus scrape port and the stats frame pair."""
 
     def test_metrics_port_serves_prometheus_text(self):
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with VectorSearchServer(aeng, metrics_port=0) as server:
+            with engine:
+                async with VectorSearchServer(engine, metrics_port=0) as server:
                     host, port = server.address
                     async with await AsyncClient.connect(host, port) as client:
                         await client.search(np.zeros(D, dtype=np.float32), K)
@@ -890,15 +926,14 @@ class TestTelemetryEndpoints:
     def test_metrics_address_requires_metrics_port(self):
         async def go():
             engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            with engine:
+                async with _free_server(engine) as server:
                     with pytest.raises(RuntimeError, match="metrics"):
                         server.metrics_address
 
         asyncio.run(go())
 
-    def test_stats_frame_drains_engine_event_journal(self):
-        from repro.obs.events import EventLog
+    def test_stats_frame_returns_the_registry_snapshot(self):
         from repro.serve.protocol import (
             FRAME_STATS,
             decode_stats,
@@ -906,34 +941,22 @@ class TestTelemetryEndpoints:
             read_frame,
         )
 
-        events = EventLog()
-
-        async def scrape(host, port, rid):
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(encode_stats_request(rid, drain_events=True))
-            await writer.drain()
-            ftype, payload = await read_frame(reader)
-            writer.close()
-            await writer.wait_closed()
-            assert ftype == FRAME_STATS
-            return decode_stats(payload)
-
         async def go():
-            engine = ServingEngine(
-                FakeBackend(), max_batch=4, policy="shed", events=events
-            )
-            async with AsyncServingEngine(engine) as aeng:
-                async with _free_server(aeng) as server:
+            engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
+            with engine:
+                async with _free_server(engine) as server:
                     host, port = server.address
-                    events.emit("shed", tenant="bulk", depth=3)
-                    first = await scrape(host, port, 7)
-                    second = await scrape(host, port, 8)
-                    return first, second
+                    async with await AsyncClient.connect(host, port) as client:
+                        await client.search(np.zeros(D, dtype=np.float32), K)
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(encode_stats_request(7))
+                    await writer.drain()
+                    ftype, payload = await read_frame(reader)
+                    writer.close()
+                    await writer.wait_closed()
+                    return ftype, decode_stats(payload)
 
-        first, second = asyncio.run(go())
-        assert first.request_id == 7
-        (ev,) = first.data["events"]
-        assert ev["type"] == "shed" and ev["tenant"] == "bulk"
-        assert first.data["dropped_events"] == 0
-        assert second.data["events"] == []  # the drain emptied the journal
-        assert len(events) == 0
+        ftype, stats = asyncio.run(go())
+        assert ftype == FRAME_STATS and stats.request_id == 7
+        assert sorted(stats.data) == ["metrics", "pid"]  # no tracer, no spans
+        assert stats.data["metrics"]["counters"]["completed"] == 1

@@ -322,33 +322,16 @@ class TestBatchResultSpans:
 
 
 class TestStatsFrames:
-    """The stats request/response pair (metrics scrape + span drain)."""
+    """The stats request/response pair (the metrics scrape)."""
 
     def test_request_round_trip(self):
-        frame = encode_stats_request(17, drain_spans=True)
+        frame = encode_stats_request(17)
         header = FRAME_HEADER.unpack(frame[: FRAME_HEADER.size])
         assert header[2] == FRAME_STATS_REQUEST
-        req = decode_stats_request(_payload(frame))
-        assert req.request_id == 17 and req.drain_spans
-        assert not decode_stats_request(
-            _payload(encode_stats_request(17))
-        ).drain_spans
-
-    def test_drain_events_flag_round_trip(self):
-        req = decode_stats_request(
-            _payload(encode_stats_request(9, drain_events=True))
-        )
-        assert req.request_id == 9
-        assert req.drain_events and not req.drain_spans
-        both = decode_stats_request(
-            _payload(
-                encode_stats_request(9, drain_spans=True, drain_events=True)
-            )
-        )
-        assert both.drain_spans and both.drain_events
-        assert not decode_stats_request(
-            _payload(encode_stats_request(9))
-        ).drain_events
+        assert decode_stats_request(_payload(frame)).request_id == 17
+        # The request is its id alone; a trailing byte is rejected.
+        with pytest.raises(ProtocolError):
+            decode_stats_request(_payload(frame) + b"\x01")
 
     def test_response_round_trip(self):
         data = {"pid": 123, "metrics": {"counters": {"completed": 4}},
@@ -375,10 +358,10 @@ class TestStatsFrames:
             decode_stats(bytes(bad))
 
     def test_read_frame_dispatches_stats_types(self):
-        frame = encode_stats_request(5, drain_spans=True)
+        frame = encode_stats_request(5)
         ftype, payload = _read_one(frame)
         assert ftype == FRAME_STATS_REQUEST
-        assert decode_stats_request(payload).drain_spans
+        assert decode_stats_request(payload).request_id == 5
 
 
 def _read_one(data: bytes):
@@ -472,11 +455,7 @@ class TestServerFrameFuzz:
         and keeps serving well-formed clients."""
         import random
 
-        from repro.serve.aio import (
-            AsyncClient,
-            AsyncServingEngine,
-            VectorSearchServer,
-        )
+        from repro.serve.aio import AsyncClient, VectorSearchServer
         from repro.serve.scheduler import ServingEngine
 
         rng = random.Random(0xC0FFEE)
@@ -494,8 +473,8 @@ class TestServerFrameFuzz:
 
         async def go():
             engine = ServingEngine(_EchoBackend(), max_batch=4, policy="shed")
-            async with AsyncServingEngine(engine) as aeng:
-                async with VectorSearchServer(aeng) as server:
+            with engine:
+                async with VectorSearchServer(engine) as server:
                     host, port = server.address
                     for corrupt in variants:
                         reader, writer = await asyncio.open_connection(

@@ -11,15 +11,13 @@ import pytest
 EXPECTED = {
     "repro.ann": [
         "FlatIndex", "IVFPQIndex", "InvListBuilder", "KMeans", "OPQTransform",
-        "PackedInvLists", "ProductQuantizer", "SearchStageTrace", "StagedSearcher",
-        "brute_force_topk", "kmeans_fit", "load_index", "load_index_dir",
-        "merge_partial_topk", "merge_topk", "partition_index", "recall_at_k",
+        "PackedInvLists", "ProductQuantizer", "brute_force_topk", "kmeans_fit",
+        "load_index", "load_index_dir", "merge_partial_topk", "merge_topk", "partition_index", "recall_at_k",
         "replicate_index", "save_index", "save_index_dir",
     ],
     "repro.serve": [
-        "AdaptiveBatchWindow", "AdmissionError", "AsyncClient", "AsyncServingEngine",
-        "InstrumentedBackend", "LatencyStats", "LoadReport", "MetricsRegistry",
-        "MetricsSnapshot", "QueryResultCache", "QuotaExceededError", "RemoteBackend",
+        "AdaptiveBatchWindow", "AdmissionError", "AsyncClient", "InstrumentedBackend",
+        "LatencyStats", "LoadReport", "MetricsRegistry", "MetricsSnapshot", "QueryResultCache", "QuotaExceededError", "RemoteBackend",
         "RemoteServeError", "ReplicaSet", "SearchBackend", "ServeResult", "ServingEngine",
         "ShardedBackend", "SimulatedDeviceBackend", "TenantLane", "TenantPolicy",
         "TenantStats", "TenantWorkload", "TokenBucket", "TopologySpec",
