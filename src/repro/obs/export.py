@@ -4,7 +4,7 @@ The Chrome export follows the trace-event format that both
 ``chrome://tracing`` and https://ui.perfetto.dev open directly: one
 complete ("X") event per span, one *process* lane per participating pid
 (router vs. each worker), and one *thread* lane per recorded thread
-(dispatchers, scatter-pool workers, connection/scan executors), named
+(dispatchers, scatter-pool workers, shard-server connections), named
 via "M" metadata events.  Span identity (trace/span/parent ids) rides in
 each event's ``args`` so tooling — ``tools/check_trace.py``,
 ``repro.obs.report`` — can rebuild the span tree from the exported file

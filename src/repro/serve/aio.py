@@ -18,7 +18,10 @@ Two pieces:
   task or asyncio future per request: one connection's completions wake
   the loop once per burst and leave as one joined ``write``.  Quota
   sheds answer with an error frame carrying the token bucket's
-  ``retry_after_s``.
+  ``retry_after_s``.  Search frames are the only request it serves: a
+  shard worker's plan and stats frames go to its own blocking server
+  (:mod:`repro.serve.workers`), and any other frame here is a protocol
+  error that drops the connection.
 - :class:`AsyncClient` — the matching client: ``submit`` pipelines,
   ``search`` awaits one answer, remote sheds re-raise as the same
   :class:`~repro.serve.scheduler.AdmissionError` /
@@ -49,43 +52,28 @@ for bit.
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from functools import partial
 
 import numpy as np
 
-from repro.net.wire import (
-    FRAME_ERROR,
-    FRAME_PRESELECT,
-    FRAME_RESULT,
-    FRAME_SEARCH,
-    FRAME_STATS_REQUEST,
-)
-from repro.obs.trace import NOOP_SPAN, SpanContext, Tracer
+from repro.net.wire import FRAME_ERROR, FRAME_RESULT, FRAME_SEARCH
+from repro.obs.trace import SpanContext
 from repro.serve.backends import BackendUnavailableError
 from repro.serve.protocol import (
-    PreselectFrame,
     ProtocolError,
     RemoteServeError,
     SearchFrame,
-    StatsRequestFrame,
     decode_error,
-    decode_preselect,
     decode_result,
     decode_search,
-    decode_stats_request,
-    encode_batch_result,
     encode_exception,
     encode_result,
     encode_search,
-    encode_stats,
     read_frame,
     remote_exception,
 )
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.qos import DEFAULT_TENANT
 from repro.serve.scheduler import ServeResult, ServingEngine
 
@@ -119,36 +107,20 @@ class VectorSearchServer:
 
     Parameters
     ----------
-    engine : a :class:`ServingEngine`, or ``None`` for a shard worker
-        (:mod:`repro.serve.workers`), which answers preselect and stats
-        frames only: a search frame drops the connection like any other
-        invalid client traffic.  Start/stop of the engine stays with the
-        caller; the server only owns sockets.
+    engine : the :class:`ServingEngine` search frames go to.  Start/stop
+        of the engine stays with the caller; the server only owns
+        sockets.
     host, port : listen address; port 0 picks a free port (see
         :attr:`address` after :meth:`start`).
     backlog : listen backlog — size it to the expected connection storm
         (an accept burst beyond it retries in the kernel, slowly).
-    preselect_backend : optional backend exposing
-        ``search_batch_preselected(queries_t, probed, k)`` (an
-        :class:`~repro.ann.ivf.IVFPQIndex` shard view).  When set, the
-        server additionally accepts **preselect frames** — a router's
-        already-coarse-quantized query batch plus per-shard cell subset
-        — and answers each with one batch-result frame.  Preselect
-        batches bypass the engine's admission queue (they arrive
-        pre-batched from a trusted router, not from open clients) and
-        run on a dedicated single-thread executor, upholding the
-        index's single-searcher contract; a front end gives its engine
-        its own replica view (:func:`repro.ann.partition.replicate_index`)
-        so the two paths never share one index object.
 
-    **Connection metrics.**  The engine's metrics registry (a worker's
-    own registry when there is no engine) additionally records this
-    server's per-connection traffic: the ``connections_opened`` /
-    ``frames_in`` / ``frames_out`` / ``protocol_errors`` counters and
-    the ``connections_open`` / ``connections_peak`` gauges, all visible
-    in :meth:`~repro.serve.metrics.MetricsRegistry.snapshot`.  A worker
-    also counts each answered preselect frame's queries as
-    ``completed``.
+    **Connection metrics.**  The engine's metrics registry additionally
+    records this server's per-connection traffic: the
+    ``connections_opened`` / ``frames_in`` / ``frames_out`` /
+    ``protocol_errors`` counters and the ``connections_open`` /
+    ``connections_peak`` gauges, all visible in
+    :meth:`~repro.serve.metrics.MetricsRegistry.snapshot`.
 
     **Tracing.**  A search frame carrying a sampled trace context
     records two children of the client's span on the engine's tracer:
@@ -158,22 +130,18 @@ class VectorSearchServer:
 
     def __init__(
         self,
-        engine: ServingEngine | None,
+        engine: ServingEngine,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
         backlog: int = 1024,
-        preselect_backend=None,
         metrics_port: int | None = None,
     ):
-        if engine is None and preselect_backend is None:
-            raise ValueError("a server needs an engine or a preselect_backend")
         #: The engine search frames go to.
         self.engine = engine
         self.host = host
         self.port = port
         self.backlog = backlog
-        self.preselect_backend = preselect_backend
         #: Optional plaintext metrics endpoint: when set, :meth:`start`
         #: additionally listens on ``(host, metrics_port)`` and answers
         #: every connection with one Prometheus text exposition of the
@@ -182,21 +150,12 @@ class VectorSearchServer:
         #: without pulling in an HTTP stack.  Port 0 picks a free port
         #: (see :attr:`metrics_address`).
         self.metrics_port = metrics_port
-        # A front end shares its engine's registry and tracer.  A worker
-        # keeps its own; its tracer only continues the router's traced
-        # preselect frames (the sampling decision rides the wire).
-        if self.engine is None:
-            self.metrics = MetricsRegistry()
-            self.tracer = Tracer(sample_rate=0.0)
-        else:
-            self.metrics = self.engine.metrics
-            self.tracer = self.engine.tracer
+        self.metrics = engine.metrics
+        self.tracer = engine.tracer
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         #: Open-connection registry: handler task -> its stream writer.
         self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        #: Serializes preselect scans (single-searcher index contract).
-        self._pre_pool: ThreadPoolExecutor | None = None
         self._open = 0
         self._peak = 0
 
@@ -256,9 +215,6 @@ class VectorSearchServer:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
             self._metrics_server = None
-        if self._pre_pool is not None:
-            self._pre_pool.shutdown(wait=False)
-            self._pre_pool = None
 
     async def __aenter__(self) -> "VectorSearchServer":
         """Async context entry: start listening."""
@@ -278,13 +234,12 @@ class VectorSearchServer:
         answered with its error frame at once).  The engine future's
         done-callback queues the answer on this connection's completion
         list; only the first completion of a burst wakes the loop, and
-        ``flush`` writes the whole burst as one joined ``write``.
-        Preselect and stats frames run as one task each and reply through
-        the same ``send``.  The reader awaits ``drain`` before every
-        frame, so a client that stops reading stops being read, and with
-        :data:`_CONN_INFLIGHT_CAP` searches unanswered it waits for a
-        flush, so a connection never has more searches than that in
-        flight.
+        ``flush`` writes the whole burst as one joined ``write``.  Any
+        other frame type drops the connection.  The reader awaits
+        ``drain`` before every frame, so a client that stops reading
+        stops being read, and with :data:`_CONN_INFLIGHT_CAP` searches
+        unanswered it waits for a flush, so a connection never has more
+        searches than that in flight.
         """
         conn = asyncio.current_task()
         if conn is not None:
@@ -301,7 +256,6 @@ class VectorSearchServer:
         engine, tracer = self.engine, self.tracer
         inflight: set[Future] = set()  # engine futures not yet flushed
         room = asyncio.Event()  # set by flush once inflight is below the cap
-        tasks: set[asyncio.Task] = set()  # preselect and stats replies
         done: list = []  # (request, engine future, reply span) to write
         done_lock = threading.Lock()
 
@@ -381,49 +335,25 @@ class VectorSearchServer:
                     break
                 try:
                     frame = await read_frame(reader)
+                    if frame is None:
+                        break  # clean close
+                    ftype, payload = frame
+                    # Response frames, and a shard worker's plan and stats
+                    # requests, are not valid client traffic.
+                    if ftype != FRAME_SEARCH:
+                        raise ProtocolError(f"unserved frame type 0x{ftype:02x}")
+                    req = decode_search(payload)
                 except ProtocolError:
                     m.inc("protocol_errors")
-                    break  # garbage or mid-frame EOF: drop the connection
-                if frame is None:
-                    break  # clean close
-                ftype, payload = frame
-                try:
-                    if ftype == FRAME_SEARCH and engine is not None:
-                        req, answer = decode_search(payload), None
-                    elif (
-                        ftype == FRAME_PRESELECT
-                        and self.preselect_backend is not None
-                    ):
-                        req = decode_preselect(payload)
-                        answer = self._preselect_reply
-                    elif ftype == FRAME_STATS_REQUEST:
-                        req = decode_stats_request(payload)
-                        answer = self._stats_reply
-                    else:
-                        # Response frames, and a request kind this server's
-                        # role does not serve, are not valid client traffic.
-                        m.inc("protocol_errors")
-                        break
-                except ProtocolError:
-                    m.inc("protocol_errors")
-                    break
+                    break  # garbage, mid-frame EOF or another kind: drop
                 m.inc("frames_in")
-                if answer is None:
-                    search(req)
-                else:
-                    task = asyncio.create_task(_reply(answer, req, send))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
+                search(req)
         finally:
             # Disconnect (or server stop): abandon this connection's
             # in-flight requests.  The dispatcher drops a cancelled engine
             # request at batch time, sparing its batch-mates.
             for fut in inflight:
                 fut.cancel()
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -433,80 +363,6 @@ class VectorSearchServer:
                 self._conns.pop(conn, None)
             self._open -= 1
             m.set_gauge("connections_open", self._open)
-
-    def _preselect_executor(self) -> ThreadPoolExecutor:
-        """The lazily-created single-thread preselect scan executor."""
-        if self._pre_pool is None:
-            self._pre_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="preselect-scan"
-            )
-        return self._pre_pool
-
-    async def _preselect_reply(self, req: PreselectFrame) -> bytes:
-        """Answer one preselect batch: scan off-loop, encode the result.
-
-        The scan runs on the dedicated single-thread executor, so
-        concurrent preselect frames (and a front end's own dispatcher,
-        which owns a *different* replica view) never violate the
-        index's single-searcher contract.
-
-        A traced frame (one carrying a trace-context tail) continues the
-        router's trace here: the scan runs under a ``worker_scan`` span
-        (IVF stage timers nest beneath it), and this trace's spans ship
-        back piggybacked on the batch-result frame (drained even when
-        the scan fails, so nothing is left behind).
-        """
-        backend = self.preselect_backend
-        tracer = self.tracer
-        traced = tracer is not None and req.trace is not None
-        nq = int(req.queries_t.shape[0])
-
-        def scan() -> tuple[np.ndarray, np.ndarray, int, float, list | None]:
-            stats = getattr(backend, "stats", None)
-            c0 = stats.codes_scanned if stats is not None else 0
-            span = (
-                tracer.continue_trace(req.trace, "worker_scan", args={"nq": nq})
-                if traced
-                else NOOP_SPAN
-            )
-            t0 = time.perf_counter()
-            try:
-                with span:
-                    ids, dists = backend.search_batch_preselected(
-                        req.queries_t, req.probed, req.k
-                    )
-            finally:
-                spans = tracer.drain(req.trace.trace_id) if traced else None
-            exec_us = (time.perf_counter() - t0) * 1e6
-            c1 = stats.codes_scanned if stats is not None else 0
-            return ids, dists, c1 - c0, exec_us, spans
-
-        loop = asyncio.get_running_loop()
-        ids, dists, codes, exec_us, spans = await loop.run_in_executor(
-            self._preselect_executor(), scan
-        )
-        if self.engine is None:
-            self.metrics.inc("completed", nq)
-        return encode_batch_result(
-            req.request_id, ids, dists,
-            exec_us=exec_us, codes_scanned=codes, spans=spans,
-        )
-
-    async def _stats_reply(self, req: StatsRequestFrame) -> bytes:
-        """Answer one metrics scrape with a registry snapshot.
-
-        The worker side of ``WorkerPool.stats()``: ships this process's
-        full :class:`~repro.serve.metrics.MetricsRegistry` snapshot (plus
-        pid, so the scraper can label lanes) and the tracer's dropped-span
-        count.
-        """
-        data: dict = {
-            "pid": os.getpid(),
-            "metrics": self.metrics.snapshot().to_dict(),
-        }
-        if self.tracer is not None:
-            data["dropped_spans"] = self.tracer.dropped
-        return encode_stats(req.request_id, data)
 
     async def _serve_metrics_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -540,19 +396,6 @@ def _result_frame(request_id: int, res: ServeResult) -> bytes:
         batch_size=res.batch_size, cache_hit=res.cache_hit,
         coverage=res.coverage,
     )
-
-
-async def _reply(answer, req, send) -> None:
-    """One preselect or stats request: ``send`` the frame of ``answer(req)``.
-
-    A request that fails answers with the error frame of its exception
-    (:func:`~repro.serve.protocol.encode_exception`).
-    """
-    try:
-        frame = await answer(req)
-    except Exception as exc:
-        frame = encode_exception(req.request_id, exc)
-    send([frame])
 
 
 class AsyncClient:

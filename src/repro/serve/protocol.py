@@ -38,9 +38,9 @@ reads it without decoding the rest).
 
 Encoding is pure (bytes in, frames out) so it is testable without
 sockets.  The frame header is checked in one place, :func:`parse_header`,
-which both readers call: :func:`read_frame` is the one asyncio-aware
-helper, reading one validated frame from a :class:`asyncio.StreamReader`,
-and the blocking router-side client reads through the same check.
+which both readers call: :func:`read_frame` reads one validated frame
+from a :class:`asyncio.StreamReader`, and :func:`recv_frame` from a
+blocking socket (the router's client and the shard worker's server).
 """
 
 from __future__ import annotations
@@ -685,3 +685,34 @@ async def read_frame(reader) -> tuple[int, bytes] | None:
             f"connection closed mid-payload ({len(exc.partial)}/{length} bytes)"
         ) from None
     return ftype, payload
+
+
+def recv_frame(sock) -> tuple[int, bytes] | None:
+    """:func:`read_frame` over a blocking socket, with the same contract.
+
+    Socket errors (a reset, a timeout) propagate as raised.
+    """
+    header = _recv_upto(sock, HEADER_SIZE)
+    if not header:
+        return None  # clean close between frames
+    if len(header) < HEADER_SIZE:
+        raise ProtocolError(f"connection closed mid-header ({len(header)} bytes)")
+    ftype, length = parse_header(header)
+    payload = _recv_upto(sock, length)
+    if len(payload) < length:
+        raise ProtocolError(
+            f"connection closed mid-payload ({len(payload)}/{length} bytes)"
+        )
+    return ftype, payload
+
+
+def _recv_upto(sock, n: int) -> bytes:
+    """``n`` bytes from ``sock``, or fewer if the peer closes first."""
+    chunks = []
+    while n:
+        b = sock.recv(min(n, 1 << 20))
+        if not b:
+            break
+        chunks.append(b)
+        n -= len(b)
+    return b"".join(chunks)

@@ -56,11 +56,7 @@ import numpy as np
 
 from repro.ann.ivf import IVFPQIndex
 from repro.ann.merge import merge_partial_topk
-from repro.ann.partition import (
-    partition_index,
-    prune_probed_cells,
-    replicate_index,
-)
+from repro.ann.partition import partition_index, replicate_index
 from repro.obs.trace import current_span
 from repro.serve.backends import (
     BackendUnavailableError,
@@ -300,9 +296,9 @@ class ReplicaSet:
 
         Only meaningful when :attr:`supports_preselected` — a
         :class:`ShardedBackend` checks that before taking this path.
-        Per-shard cell pruning stays with the replica backends (each
-        :class:`~repro.serve.workers.RemoteBackend` prunes to its own
-        ``cell_sizes``), so the plan forwarded here is untouched.
+        The plan is forwarded untouched: a
+        :class:`~repro.serve.workers.RemoteBackend` prunes it to its own
+        shard's cells before shipping it.
         """
         return self._dispatch(
             lambda r: r.search_batch_preselected(queries_t, probed, k)
@@ -420,11 +416,11 @@ class ShardedBackend:
         quantizers, typically the mmap-loaded unpartitioned index).
         When set, each scatter computes OPQ/coarse distances/cell
         selection **once** and sends every shard the precomputed plan
-        through its ``search_batch_preselected`` entry, with the cell
-        list pruned per shard (slots empty on that shard's slice become
-        ``-1``) when the shard advertises ``cell_sizes``.  Shards
-        without the preselected entry fall back to plain
-        ``search_batch`` — results are bit-identical either way, only
+        through its ``search_batch_preselected`` entry, unchanged (a
+        :class:`~repro.serve.workers.RemoteBackend` prunes the cells
+        empty on its shard before shipping; an in-process shard's scan
+        skips them).  Shards without the preselected entry fall back to
+        plain ``search_batch`` — results are bit-identical either way, only
         duplicated per-shard coarse work disappears.  Planner calls are
         serialized on an internal lock (the
         :class:`~repro.ann.ivf.IVFPQIndex` single-searcher contract), so
@@ -551,11 +547,7 @@ class ShardedBackend:
                 preselected = None
             with scatter.child("shard_rpc", args={"shard": idx}):
                 if plan is not None and preselected is not None:
-                    queries_t, probed = plan
-                    cell_sizes = getattr(shard, "cell_sizes", None)
-                    if cell_sizes is not None:
-                        probed = prune_probed_cells(probed, cell_sizes)
-                    out = preselected(queries_t, probed, k)
+                    out = preselected(*plan, k)
                 else:
                     out = shard.search_batch(queries, k, nprobe)
             return out, backend_coverage(shard)

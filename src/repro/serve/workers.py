@@ -18,10 +18,10 @@ Three pieces:
   deterministic, so every process derives the same layout from the same
   arguments), print one JSON readiness line on stdout, and serve it
   until stdin closes (graceful) or SIGTERM.  Like a FANNS node, a
-  worker is one scan pipeline behind a socket: its engine-less
-  :class:`~repro.serve.aio.VectorSearchServer` takes planned batches
-  (preselect frames) and stats frames only; batching and admission stay
-  with the router.
+  worker is one scan pipeline behind a socket: its :class:`ShardServer`
+  is a blocking accept loop with one thread per connection that answers
+  planned batches (preselect frames) and stats frames only, one scan at
+  a time; batching and admission stay with the router.
 - :class:`WorkerPool` — the supervisor: spawns the R×S worker grid
   (S shards × R replicas per shard), performs the readiness handshake
   (bound port, dimensionality, shard size), detects crashed workers
@@ -47,7 +47,6 @@ for bit.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import signal
@@ -63,22 +62,31 @@ import numpy as np
 
 from repro.ann.io import load_index_dir
 from repro.ann.partition import partition_index, prune_probed_cells, shard_cell_sizes
-from repro.net.wire import FRAME_BATCH_RESULT, FRAME_ERROR, FRAME_STATS
-from repro.obs.trace import Tracer, current_span
-from repro.serve.aio import VectorSearchServer
+from repro.net.wire import (
+    FRAME_BATCH_RESULT,
+    FRAME_ERROR,
+    FRAME_PRESELECT,
+    FRAME_STATS,
+    FRAME_STATS_REQUEST,
+)
+from repro.obs.trace import NOOP_SPAN, Tracer, current_span
 from repro.serve.protocol import (
-    HEADER_SIZE,
+    DECODERS,
     ProtocolError,
     decode_batch_result,
     decode_error,
     decode_stats,
+    encode_batch_result,
+    encode_exception,
     encode_preselect,
+    encode_stats,
     encode_stats_request,
-    parse_header,
+    recv_frame,
     remote_exception,
     request_id_of,
 )
 from repro.serve.backends import BackendUnavailableError
+from repro.serve.metrics import MetricsRegistry
 from repro.serve.routing import ReplicaSet, ShardedBackend
 
 __all__ = [
@@ -241,20 +249,6 @@ class RemoteBackend:
                 f"{RECONNECT_ATTEMPTS + 1} attempt(s): {last}"
             ) from last
 
-    def _read_exact(self, n: int) -> bytes:
-        """Read exactly ``n`` bytes or raise ``ConnectionResetError``
-        (a socket timeout raises ``TimeoutError``)."""
-        chunks = []
-        while n:
-            b = self._sock.recv(min(n, 1 << 20))
-            if not b:
-                raise ConnectionResetError(
-                    f"worker {self.host}:{self.port} closed the connection"
-                )
-            chunks.append(b)
-            n -= len(b)
-        return b"".join(chunks)
-
     def _reply(self, rid: int, ftype: int) -> bytes:
         """The ``ftype`` payload answering ``rid``; raises an error reply.
 
@@ -262,11 +256,16 @@ class RemoteBackend:
         another request id is a stale reply to an earlier failed call
         and is skipped, whatever its type.  An error frame answering
         ``rid`` raises its mapped exception; a frame of any other type
-        than ``ftype`` answering it is a :class:`ProtocolError`.
+        than ``ftype`` answering it is a :class:`ProtocolError`; the
+        worker closing the connection raises ``ConnectionResetError``.
         """
         while True:
-            got, length = parse_header(self._read_exact(HEADER_SIZE))
-            payload = self._read_exact(length)
+            frame = recv_frame(self._sock)
+            if frame is None:
+                raise ConnectionResetError(
+                    f"worker {self.host}:{self.port} closed the connection"
+                )
+            got, payload = frame
             if request_id_of(payload) != rid:
                 continue
             if got == FRAME_ERROR:
@@ -1054,7 +1053,157 @@ class WorkerPool:
 
 
 # --------------------------------------------------------------------- #
-# Worker process entry point.
+# Worker process: the shard's server and the entry point.
+
+
+class ShardServer:
+    """One shard worker's server: plans and stats scrapes, blocking sockets.
+
+    A worker's one client is the router's :class:`RemoteBackend`, one
+    exchange in flight, so there is no event loop: an accept thread gives
+    each connection a thread that reads a frame
+    (:func:`~repro.serve.protocol.recv_frame`) and answers it with one
+    ``sendall`` — a plan with its scan's batch-result frame (or the
+    error frame of what the scan raised), a stats request with this
+    process's registry snapshot.  Scans are serialised on one lock (the
+    index's single-searcher contract).  Any other frame, or a malformed
+    one, counts ``protocol_errors`` and drops that connection.  Each
+    plan's queries count as ``completed``; a traced plan's scan runs
+    under a ``worker_scan`` span whose trace ships back on the reply.
+    ``shard`` is an :class:`~repro.ann.ivf.IVFPQIndex` shard view; port
+    0 picks a free port (see :attr:`address`).
+    """
+
+    def __init__(self, shard, host: str = "127.0.0.1", port: int = 0):
+        self.shard = shard
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(sample_rate=0.0)
+        self._listener = socket.create_server((host, port))
+        #: The bound ``(host, port)``.
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._scan_lock = threading.Lock()
+        #: Guards the open connections, the threads and the stopped flag.
+        self._lock = threading.Lock()
+        self._conns: set[socket.socket] = set()
+        self._threads: list[threading.Thread] = []
+        self._stopped = False
+
+    def start(self) -> "ShardServer":
+        """Accept connections on a thread; returns self."""
+        thread = threading.Thread(
+            target=self._accept_loop, name="shardserver-accept", daemon=True
+        )
+        self._threads.append(thread)
+        thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop accepting, close every connection and join every thread
+        (idempotent).  A scan under way finishes; its reply is dropped."""
+        with self._lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            conns, threads = list(self._conns), list(self._threads)
+        for sock in (self._listener, *conns):
+            try:
+                # Wakes the thread blocked in accept() or recv() on it.
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._listener.close()
+        for thread in threads:
+            thread.join()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # stop() shut the listener
+            # Frames are small and latency-bound: never wait for Nagle.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve_conn, args=(conn,), name="shardserver-conn",
+                daemon=True,
+            )
+            with self._lock:
+                if self._stopped:
+                    conn.close()
+                    return
+                self._conns.add(conn)
+                # Started under the lock, so stop() joins only started
+                # threads and misses none.
+                self._threads = [t for t in self._threads if t.is_alive()]
+                self._threads.append(thread)
+                thread.start()
+
+    def _serve_conn(self, conn: socket.socket) -> None:
+        answers = {FRAME_PRESELECT: self._scan, FRAME_STATS_REQUEST: self._stats}
+        try:
+            while True:
+                try:
+                    frame = recv_frame(conn)
+                    if frame is None:
+                        return  # clean close
+                    ftype, payload = frame
+                    if ftype not in answers:
+                        raise ProtocolError(f"unserved frame type 0x{ftype:02x}")
+                    req = DECODERS[ftype](payload)
+                except ProtocolError:
+                    self.metrics.inc("protocol_errors")
+                    return
+                try:
+                    reply = answers[ftype](req)
+                except Exception as exc:
+                    reply = encode_exception(req.request_id, exc)
+                conn.sendall(reply)
+        except OSError:
+            pass  # reset by the peer, or shut by stop()
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            conn.close()
+
+    def _scan(self, req) -> bytes:
+        """One plan's batch-result frame.  A traced plan's spans are
+        drained even when the scan raises, so none are left behind."""
+        shard, tracer, traced = self.shard, self.tracer, req.trace is not None
+        nq = int(req.queries_t.shape[0])
+        stats = getattr(shard, "stats", None)
+        with self._scan_lock:
+            c0 = stats.codes_scanned if stats is not None else 0
+            span = (
+                tracer.continue_trace(req.trace, "worker_scan", args={"nq": nq})
+                if traced
+                else NOOP_SPAN
+            )
+            t0 = time.perf_counter()
+            try:
+                with span:
+                    ids, dists = shard.search_batch_preselected(
+                        req.queries_t, req.probed, req.k
+                    )
+            finally:
+                spans = tracer.drain(req.trace.trace_id) if traced else None
+            exec_us = (time.perf_counter() - t0) * 1e6
+            codes = (stats.codes_scanned if stats is not None else 0) - c0
+        self.metrics.inc("completed", nq)
+        return encode_batch_result(
+            req.request_id, ids, dists,
+            exec_us=exec_us, codes_scanned=codes, spans=spans,
+        )
+
+    def _stats(self, req) -> bytes:
+        """One scrape's stats frame: pid, registry snapshot, dropped spans."""
+        return encode_stats(
+            req.request_id,
+            {
+                "pid": os.getpid(),
+                "metrics": self.metrics.snapshot().to_dict(),
+                "dropped_spans": self.tracer.dropped,
+            },
+        )
 
 
 def _parse_worker_args(argv: list[str] | None) -> argparse.Namespace:
@@ -1077,54 +1226,6 @@ def _parse_worker_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-async def _serve_until_stopped(shard, args) -> None:
-    """Serve one worker's shard (preselect and stats frames, no
-    engine) until stdin EOF or SIGTERM."""
-    server = VectorSearchServer(
-        None, args.host, args.port, preselect_backend=shard
-    )
-    await server.start()
-    host, port = server.address
-    print(
-        json.dumps(
-            {
-                "ready": True,
-                "shard": args.shard,
-                "workers": args.workers,
-                "host": host,
-                "port": port,
-                "d": shard.d,
-                "ntotal": int(shard.ntotal),
-            }
-        ),
-        flush=True,
-    )
-    loop = asyncio.get_running_loop()
-    stop_ev = asyncio.Event()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop_ev.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-main thread / platform without signal support
-
-    def watch_stdin() -> None:
-        # Supervisor shutdown handshake: stdin EOF means "close and
-        # exit".  A daemon thread (not the default executor) does the
-        # blocking read, so loop teardown never joins a stuck read.
-        try:
-            sys.stdin.buffer.read()
-        except OSError:
-            pass
-        try:
-            loop.call_soon_threadsafe(stop_ev.set)
-        except RuntimeError:
-            pass  # loop already closed
-
-    threading.Thread(target=watch_stdin, daemon=True).start()
-    await stop_ev.wait()
-    await server.stop()
-
-
 def worker_main(argv: list[str] | None = None) -> int:
     """Worker process entry: load, shard, serve (see module docstring)."""
     args = _parse_worker_args(argv)
@@ -1136,7 +1237,35 @@ def worker_main(argv: list[str] | None = None) -> int:
     # Load the scan kernel and build the term table before the handshake,
     # so no request pays for them.
     shard.warm_gather_cache()
-    asyncio.run(_serve_until_stopped(shard, args))
+    # SIGTERM, like SIGINT, raises KeyboardInterrupt in this thread, so
+    # both stop the server like the stdin handshake does.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    server = ShardServer(shard, args.host, args.port).start()
+    host, port = server.address
+    try:
+        print(
+            json.dumps(
+                {
+                    "ready": True,
+                    "shard": args.shard,
+                    "workers": args.workers,
+                    "host": host,
+                    "port": port,
+                    "d": shard.d,
+                    "ntotal": int(shard.ntotal),
+                }
+            ),
+            flush=True,
+        )
+        # The supervisor's shutdown handshake: stdin EOF means "close and
+        # exit".
+        sys.stdin.buffer.read()
+    except (KeyboardInterrupt, OSError):
+        pass
+    finally:
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, signal.SIG_IGN)
+        server.stop()
     return 0
 
 

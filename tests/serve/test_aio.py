@@ -825,50 +825,51 @@ class TestConnectionMetrics:
 
 class TestPreselectFrames:
     def test_preselect_frame_served_bit_identical(self, small_index):
-        """A raw preselect frame answers exactly like the in-process
-        preselected scan."""
+        """A raw preselect frame to a shard worker's server answers
+        exactly like the in-process preselected scan."""
         from repro.ann.partition import replicate_index
+        from repro.net.wire import FRAME_BATCH_RESULT
         from repro.serve.protocol import (
             decode_batch_result,
             encode_preselect,
-            read_frame,
+            recv_frame,
         )
+        from repro.serve.workers import ShardServer
 
         index, queries = small_index
-        engine_view, scan_view, plan_view = replicate_index(index, 3)
+        scan_view, plan_view = replicate_index(index, 2)
         queries_t, probed = plan_view.preselect(queries[:12], NPROBE)
-        ref_ids, ref_dists = scan_view.search_batch_preselected(
+        ref_ids, ref_dists = index.search_batch_preselected(
             queries_t, probed, K
         )
-
-        async def go():
-            engine = ServingEngine(engine_view, max_batch=4, policy="shed")
-            with engine:
-                server = VectorSearchServer(engine, preselect_backend=scan_view)
-                async with server:
-                    host, port = server.address
-                    reader, writer = await asyncio.open_connection(host, port)
-                    writer.write(encode_preselect(9, queries_t, probed, K))
-                    await writer.drain()
-                    ftype, payload = await read_frame(reader)
-                    writer.close()
-                    await writer.wait_closed()
-                    return ftype, decode_batch_result(payload)
-
-        ftype, res = asyncio.run(go())
-        from repro.net.wire import FRAME_BATCH_RESULT
-
+        server = ShardServer(scan_view).start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(encode_preselect(9, queries_t, probed, K))
+                ftype, payload = recv_frame(sock)
+        finally:
+            server.stop()
+        res = decode_batch_result(payload)
         assert ftype == FRAME_BATCH_RESULT
         assert res.request_id == 9
         np.testing.assert_array_equal(res.ids, ref_ids)
         np.testing.assert_array_equal(res.dists, ref_dists)
         assert res.codes_scanned > 0
 
-    def test_preselect_frame_rejected_without_backend(self):
-        """Servers not configured for the preselect path treat the frame
-        as a protocol error rather than guessing."""
-        from repro.serve.protocol import encode_preselect
+    @pytest.mark.parametrize("kind", ["preselect", "stats"])
+    def test_preselect_frame_rejected_without_backend(self, kind):
+        """A front end serves search frames only: a shard worker's plan
+        or stats request is a protocol error that drops the connection."""
+        from repro.serve.protocol import encode_preselect, encode_stats_request
 
+        frame = (
+            encode_preselect(
+                1, np.zeros((1, D), dtype=np.float32),
+                np.zeros((1, 2), dtype=np.int64), K,
+            )
+            if kind == "preselect"
+            else encode_stats_request(1)
+        )
         counters = {}
 
         async def go():
@@ -877,12 +878,7 @@ class TestPreselectFrames:
                 async with _free_server(engine) as server:
                     host, port = server.address
                     reader, writer = await asyncio.open_connection(host, port)
-                    writer.write(
-                        encode_preselect(
-                            1, np.zeros((1, D), dtype=np.float32),
-                            np.zeros((1, 2), dtype=np.int64), K,
-                        )
-                    )
+                    writer.write(frame)
                     await writer.drain()
                     assert await reader.read() == b""
                     writer.close()
@@ -891,10 +887,11 @@ class TestPreselectFrames:
 
         asyncio.run(go())
         assert counters["protocol_errors"] == 1
+        assert "frames_in" not in counters
 
 
 class TestTelemetryEndpoints:
-    """The Prometheus scrape port and the stats frame pair."""
+    """The Prometheus scrape port."""
 
     def test_metrics_port_serves_prometheus_text(self):
         async def go():
@@ -932,31 +929,3 @@ class TestTelemetryEndpoints:
                         server.metrics_address
 
         asyncio.run(go())
-
-    def test_stats_frame_returns_the_registry_snapshot(self):
-        from repro.serve.protocol import (
-            FRAME_STATS,
-            decode_stats,
-            encode_stats_request,
-            read_frame,
-        )
-
-        async def go():
-            engine = ServingEngine(FakeBackend(), max_batch=4, policy="shed")
-            with engine:
-                async with _free_server(engine) as server:
-                    host, port = server.address
-                    async with await AsyncClient.connect(host, port) as client:
-                        await client.search(np.zeros(D, dtype=np.float32), K)
-                    reader, writer = await asyncio.open_connection(host, port)
-                    writer.write(encode_stats_request(7))
-                    await writer.drain()
-                    ftype, payload = await read_frame(reader)
-                    writer.close()
-                    await writer.wait_closed()
-                    return ftype, decode_stats(payload)
-
-        ftype, stats = asyncio.run(go())
-        assert ftype == FRAME_STATS and stats.request_id == 7
-        assert sorted(stats.data) == ["metrics", "pid"]  # no tracer, no spans
-        assert stats.data["metrics"]["counters"]["completed"] == 1

@@ -467,6 +467,25 @@ class _PlainShard:
         return self.inner.search_batch(queries, k, nprobe)
 
 
+class _RecordingShard:
+    """Records every plan it is sent; advertises ``cell_sizes`` with
+    every odd cell empty."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+        self.ntotal = inner.ntotal
+        self.cell_sizes = np.where(np.arange(inner.nlist) % 2, 0, 1)
+        self.plans = []
+
+    def search_batch(self, queries, k, nprobe=None):
+        return self.inner.search_batch(queries, k, nprobe)
+
+    def search_batch_preselected(self, queries_t, probed, k):
+        self.plans.append(np.array(probed, copy=True))
+        return self.inner.search_batch_preselected(queries_t, probed, k)
+
+
 class TestPreselectRouting:
     @pytest.fixture()
     def planner(self, tied_index):
@@ -554,6 +573,23 @@ class TestPreselectRouting:
         ref_i, ref_d = ShardedBackend(
             [parts[0], parts[2]]
         ).search_batch(tied_queries, 5, 4)
+        np.testing.assert_array_equal(got_i, ref_i)
+        np.testing.assert_array_equal(got_d, ref_d)
+
+    def test_plan_reaches_shards_unpruned(
+        self, tied_index, tied_queries, planner
+    ):
+        """The router forwards the planner's plan as computed, even to a
+        shard advertising empty cells: pruning is the shard's own."""
+        shard = _RecordingShard(tied_index)
+        _, want = replicate_index(tied_index, 1)[0].preselect(tied_queries, 4)
+        assert (shard.cell_sizes[want] == 0).any()  # the plan hits empty cells
+        got_i, got_d = ShardedBackend([shard], preselect=planner).search_batch(
+            tied_queries, 5, 4
+        )
+        assert len(shard.plans) == 1
+        np.testing.assert_array_equal(shard.plans[0], want)
+        ref_i, ref_d = tied_index.search(tied_queries, 5, 4)
         np.testing.assert_array_equal(got_i, ref_i)
         np.testing.assert_array_equal(got_d, ref_d)
 

@@ -1,15 +1,17 @@
-"""The wire tier's shared contracts, through both of its clients.
+"""The wire tier's shared contracts, through both of its servers.
 
 The asyncio reader (:func:`repro.serve.protocol.read_frame`) and the
-blocking :class:`~repro.serve.workers.RemoteBackend` reader must reject
-the same malformed streams; the error table must map an exception on the
+blocking one (:func:`~repro.serve.protocol.recv_frame`, which both
+:class:`~repro.serve.workers.RemoteBackend` and the shard worker's
+:class:`~repro.serve.workers.ShardServer` read through) must reject the
+same malformed streams; the error table must map an exception on a
 server to the same exception at :class:`~repro.serve.aio.AsyncClient`
-and at :class:`RemoteBackend`; an engine-less (shard worker) server
-must serve preselect and stats frames only; and the module-level codec
-names the benchmark wraps to count frames must stay on the request path.
+and at :class:`RemoteBackend`; a shard worker's server must serve
+preselect and stats frames only; and the module-level codec names the
+benchmark wraps to count frames must stay on the request path.
 
-Everything runs in-process: servers on a background event loop, fake
-workers on a thread, no worker processes.
+Everything runs in-process: front ends on a background event loop, shard
+servers and fake workers on threads, no worker processes.
 """
 
 import asyncio
@@ -44,7 +46,13 @@ from repro.serve import (
     VectorSearchServer,
 )
 from repro.serve.backends import BackendUnavailableError
-from repro.serve.protocol import ProtocolError, encode_search, read_frame
+from repro.serve.protocol import (
+    ProtocolError,
+    encode_search,
+    read_frame,
+    recv_frame,
+)
+from repro.serve.workers import ShardServer
 
 D = 8
 K = 3
@@ -132,6 +140,33 @@ class TestBothReadersRejectMalformedStreams:
         with pytest.raises(ProtocolError):
             asyncio.run(go())
 
+    def test_blocking_reader(self, name):
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(MALFORMED[name])
+            a.shutdown(socket.SHUT_WR)
+            with pytest.raises(ProtocolError):
+                recv_frame(b)
+
+    def test_worker_server(self, name, tiny_index):
+        """The stream drops its own connection, counted once; a fresh
+        client is then served bit for bit."""
+        index, queries = tiny_index
+        queries_t, probed = index.preselect(queries[:4], NPROBE)
+        ref_ids, ref_dists = index.search(queries[:4], K, NPROBE)
+        (scan_view,) = replicate_index(index, 1)
+        with worker_served(scan_view) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(MALFORMED[name])
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1 << 16) == b""  # dropped, no reply
+            assert server.metrics.snapshot().counters["protocol_errors"] == 1
+            remote = RemoteBackend(*server.address)
+            ids, dists = remote.search_batch_preselected(queries_t, probed, K)
+            remote.close()
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_array_equal(dists, ref_dists)
+
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_remote_backend(self, name, call):
         """Every call kind fails promptly into the typed shard error,
@@ -172,10 +207,9 @@ def test_remote_backend_times_out_without_retry(monkeypatch):
 
 
 @contextmanager
-def served(backend, preselect_backend=None):
-    """A started server on a background event loop, yielded: a front end
-    with an engine over ``backend``, or an engine-less shard worker
-    server when ``backend`` is None."""
+def served(backend):
+    """A started front end over an engine over ``backend``, on a
+    background event loop."""
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
@@ -183,23 +217,26 @@ def served(backend, preselect_backend=None):
     def run(coro):
         return asyncio.run_coroutine_threadsafe(coro, loop).result(30)
 
-    engine = (
-        ServingEngine(backend, max_batch=4, policy="shed").start()
-        if backend is not None
-        else None
-    )
-    server = run(
-        VectorSearchServer(engine, preselect_backend=preselect_backend).start()
-    )
+    engine = ServingEngine(backend, max_batch=4, policy="shed").start()
+    server = run(VectorSearchServer(engine).start())
     try:
         yield server
     finally:
         run(server.stop())
-        if engine is not None:
-            engine.stop()
+        engine.stop()
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
         loop.close()
+
+
+@contextmanager
+def worker_served(shard):
+    """A started shard worker server scanning plans on ``shard``."""
+    server = ShardServer(shard).start()
+    try:
+        yield server
+    finally:
+        server.stop()
 
 
 class RaisingBackend:
@@ -260,7 +297,7 @@ class TestErrorTable:
     @pytest.mark.parametrize("call", ["search_batch_preselected"])
     def test_through_remote_backend(self, raised, want_type, want_msg, call):
         backend = RaisingBackend()
-        with served(None, preselect_backend=backend) as server:
+        with worker_served(backend) as server:
             remote = RemoteBackend(*server.address)
             backend.exc = raised
             with pytest.raises(want_type) as info:
@@ -286,12 +323,12 @@ def tiny_index():
 class TestPreselectAlignment:
     def test_out_of_range_cell_then_next_call_succeeds(self, tiny_index):
         index, queries = tiny_index
-        engine_view, scan_view, plan_view = replicate_index(index, 3)
+        scan_view, plan_view = replicate_index(index, 2)
         queries_t, probed = plan_view.preselect(queries[:4], NPROBE)
         bad = probed.copy()
         bad[0, 0] = index.nlist  # one past the last cell
         ref_ids, ref_dists = index.search(queries[:4], K, NPROBE)
-        with served(engine_view, preselect_backend=scan_view) as server:
+        with worker_served(scan_view) as server:
             remote = RemoteBackend(*server.address)
             with pytest.raises(RemoteServeError, match="ValueError"):
                 remote.search_batch_preselected(queries_t, bad, K)
@@ -302,18 +339,13 @@ class TestPreselectAlignment:
 
 
 class TestWorkerServer:
-    """An engine-less server is a shard worker: preselect and stats
-    frames only."""
-
-    def test_needs_an_engine_or_a_preselect_backend(self):
-        with pytest.raises(ValueError, match="preselect_backend"):
-            VectorSearchServer(None)
+    """A shard worker's server answers preselect and stats frames only."""
 
     def test_search_frame_drops_the_connection(self, tiny_index):
         index, queries = tiny_index
         (scan_view,) = replicate_index(index, 1)
         queries_t, probed = index.preselect(queries[:4], NPROBE)
-        with served(None, preselect_backend=scan_view) as server:
+        with worker_served(scan_view) as server:
             with socket.create_connection(server.address, timeout=10) as sock:
                 sock.sendall(encode_search(1, queries[0], K, NPROBE))
                 assert sock.recv(1 << 16) == b""  # dropped, no reply
@@ -335,7 +367,7 @@ class TestWorkerServer:
         bad = probed.copy()
         bad[0, 0] = -5
         router = Tracer(sample_rate=1.0, seed=0)
-        with served(None, preselect_backend=scan_view) as server:
+        with worker_served(scan_view) as server:
             remote = RemoteBackend(*server.address)
             with router.start_trace("request"):
                 with pytest.raises(RemoteServeError, match="ValueError"):
@@ -376,15 +408,15 @@ class TestCodecHooks:
 
         engine_view, scan_view, plan_view = replicate_index(index, 3)
         queries_t, probed = plan_view.preselect(queries[:4], NPROBE)
-        with served(engine_view, preselect_backend=scan_view) as server:
-            host, port = server.address
+        with served(engine_view) as front, worker_served(scan_view) as worker:
+            host, port = front.address
 
             async def one_search():
                 async with await AsyncClient.connect(host, port) as client:
                     return await client.search(queries[0], K, NPROBE)
 
             res = asyncio.run(one_search())
-            remote = RemoteBackend(host, port)
+            remote = RemoteBackend(*worker.address)
             remote.search_batch_preselected(queries_t, probed, K)
             remote.close()
         assert res.ids.shape == (K,)

@@ -4,8 +4,10 @@ Real subprocesses, real sockets: a :class:`WorkerPool` over a saved
 index directory must answer bit-identically to in-process search through
 the preselect-once scatter (the one request kind a worker serves),
 survive a SIGKILL'd worker in degraded mode with zero failed requests,
-and shut down gracefully on the stdin-close handshake.
+and shut down gracefully on the stdin-close handshake or SIGTERM.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from repro.ann.io import load_index_dir, save_index_dir
 from repro.ann.ivf import IVFPQIndex
 from repro.data.synthetic import make_clustered
 from repro.serve.scheduler import ServingEngine
-from repro.serve.workers import WorkerPool
+from repro.serve.workers import RemoteBackend, ShardServer, WorkerPool
 
 K = 5
 NPROBE = 6
@@ -64,11 +66,45 @@ class TestPoolLifecycle:
         with pytest.raises(ValueError, match="n_workers"):
             WorkerPool(saved_dir, 0)
 
-    def test_graceful_stop_exits_zero(self, saved_dir):
+    @pytest.mark.parametrize("how", ["stdin", "sigterm"])
+    def test_graceful_stop_exits_zero(self, saved_dir, how):
         pool = WorkerPool(saved_dir, 2).start()
         procs = list(pool._procs)
+        if how == "sigterm":
+            for p in procs:
+                p.terminate()
+            for p in procs:
+                p.wait(30)
         pool.stop()
         assert [p.returncode for p in procs] == [0, 0]
+
+
+def _shard_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("shardserver-")]
+
+
+class TestShardServer:
+    """The worker's server in-process: stop() leaves nothing behind."""
+
+    def test_stop_with_open_connections_joins_every_thread(self, corpus):
+        from repro.serve.backends import BackendUnavailableError
+
+        index, queries = corpus
+        queries_t, probed = index.preselect(queries[:4], NPROBE)
+        server = ShardServer(index).start()
+        remotes = [RemoteBackend(*server.address) for _ in range(2)]
+        try:
+            remotes[0].search_batch_preselected(queries_t, probed, K)
+            remotes[1].stats()
+            assert len(_shard_threads()) == 3  # accept + two connections
+            server.stop()
+            assert _shard_threads() == []
+            server.stop()  # idempotent
+            with pytest.raises(BackendUnavailableError):
+                remotes[0].stats()  # its connection and the listener are gone
+        finally:
+            for remote in remotes:
+                remote.close()
 
 
 class TestRemoteScatter:
